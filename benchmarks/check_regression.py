@@ -47,11 +47,6 @@ FLOORS = [
     # processes of the graph shell must keep dissolving into the compiled
     # settle function (mirrors test_pipeline_compiled_speedup_over_fixpoint).
     ("pipeline_dualpath", "compiled", "fixpoint", 1.5),
-    # Batched lockstep backend: one 16-lane vectorized session over the
-    # equal-area saa2vga sweep grid must beat sixteen scalar compiled
-    # sessions (lane-cycles/s on both sides; mirrors
-    # test_batched_sweep_speedup_over_scalar_compiled).
-    ("saa2vga_sweep16", "compiled-batched", "compiled", 3.0),
 ]
 
 

@@ -28,14 +28,7 @@ from repro.designs import (
     build_saa2vga_pattern,
     run_stream_through,
 )
-from repro.rtl import (
-    COMPILED,
-    COMPILED_BATCHED,
-    EVENT,
-    FIXPOINT,
-    BatchedSimulator,
-    Simulator,
-)
+from repro.rtl import COMPILED, EVENT, FIXPOINT, Simulator
 from repro.video import flatten, golden_blur3x3, random_frame
 
 FRAME_W, FRAME_H = scaled((24, 12), (12, 6))
@@ -289,101 +282,6 @@ def test_compiled_backend_speedup_on_blur(benchmark):
                                  args=("blur_pattern", COMPILED, FIXPOINT),
                                  rounds=1, iterations=1)
     assert speedup >= 1.5
-
-
-# -- batched lockstep sweep throughput ----------------------------------------
-#
-# A 16-point saa2vga grid — the canonical explore-sweep shape — run once as
-# sixteen scalar compiled sessions and once as a single 16-lane batched
-# lockstep session.  All shapes share one frame area so every lane finishes
-# on the same cycle: the ratio then measures lockstep efficiency, not lane
-# overrun.  Simulator construction (including codegen) is *inside* the
-# timed region on both sides: a real sweep pays per-point construction, and
-# amortising one emission across all lanes (emit once + rebind) is half of
-# what the batched backend buys — sixteen scalar sessions pay codegen
-# sixteen times.
-
-#: 16 equal-area frame shapes (quick profile area 60, full area 240); the
-#: per-lane stimulus still differs because every lane seeds its own frame.
-SWEEP_SHAPES = scaled(
-    [(16, 15), (20, 12), (24, 10), (30, 8), (40, 6), (48, 5), (60, 4),
-     (80, 3), (12, 20), (10, 24), (15, 16), (8, 30), (6, 40), (5, 48),
-     (4, 60), (3, 80)],
-    [(10, 6), (12, 5), (15, 4), (20, 3), (6, 10), (5, 12), (4, 15),
-     (3, 20), (10, 6), (12, 5), (15, 4), (20, 3), (6, 10), (5, 12),
-     (4, 15), (3, 20)],
-)
-
-SWEEP_FRAMES = [random_frame(w, h, seed=stimulus_seed(700 + i))
-                for i, (w, h) in enumerate(SWEEP_SHAPES)]
-
-
-def _sweep_system(frame):
-    return VideoSystem(build_saa2vga_pattern("fifo", capacity=32),
-                       frames=[frame])
-
-
-def _sweep_cps(strategy: str) -> float:
-    """Best-of-3 end-to-end lane-cycles/s for the 16-point sweep.
-
-    Both strategies are normalised to *lane*-cycles (a batch cycle advances
-    every lane once) so the recorded numbers divide into a meaningful ratio.
-    The clock covers construction *and* simulation — the cost a sweep
-    actually pays per grid point.
-    """
-    key = ("saa2vga_sweep16", strategy)
-    if key in _cps_cache:
-        return _cps_cache[key]
-    best = 0.0
-    for _ in range(3):
-        targets = [len(flatten(frame)) for frame in SWEEP_FRAMES]
-        if strategy == COMPILED_BATCHED:
-            start = time.perf_counter()
-            systems = [_sweep_system(frame) for frame in SWEEP_FRAMES]
-            batch = BatchedSimulator(systems)
-            conditions = [(lambda s=system, n=n: s.sink.count >= n)
-                          for system, n in zip(systems, targets)]
-            batch.run_lockstep(conditions, max_cycles=2_000_000)
-            elapsed = time.perf_counter() - start
-            lane_cycles = batch.cycles * batch.n_lanes
-        else:
-            start = time.perf_counter()
-            systems = [_sweep_system(frame) for frame in SWEEP_FRAMES]
-            sims = [Simulator(system, strategy=strategy)
-                    for system in systems]
-            for sim, system, n in zip(sims, systems, targets):
-                sim.run_until(
-                    lambda system=system, n=n: system.sink.count >= n,
-                    2_000_000)
-            elapsed = time.perf_counter() - start
-            lane_cycles = sum(sim.cycles for sim in sims)
-        for system, n, frame in zip(systems, targets, SWEEP_FRAMES):
-            assert system.received_pixels()[:n] == flatten(frame)
-        best = max(best, lane_cycles / elapsed)
-    _cps_cache[key] = best
-    record_metric("cycles_per_second", "saa2vga_sweep16", strategy, round(best, 1))
-    return best
-
-
-def test_batched_sweep_speedup_over_scalar_compiled(benchmark):
-    """One 16-lane lockstep session must beat 16 scalar compiled sessions 3x.
-
-    This is the acceptance floor for the batched backend: measured ~3.5-4.3x
-    on the reference container (the vectorized kernel amortises Python
-    dispatch across lanes, and emit-once-plus-rebind amortises codegen);
-    3.0 is the guarded criterion, mirrored in ``check_regression.py``.
-    """
-    def ratio():
-        value = _sweep_cps(COMPILED_BATCHED) / _sweep_cps(COMPILED)
-        record_metric("speedup", "saa2vga_sweep16",
-                      "compiled_batched_vs_compiled", round(value, 3))
-        print(f"\nsaa2vga_sweep16: compiled-batched "
-              f"{_sweep_cps(COMPILED_BATCHED):,.0f} lane-c/s, compiled "
-              f"{_sweep_cps(COMPILED):,.0f} lane-c/s -> {value:.2f}x")
-        return value
-
-    speedup = benchmark.pedantic(ratio, rounds=1, iterations=1)
-    assert speedup >= 3.0
 
 
 # -- elaborated pipeline graphs (repro.flow) ---------------------------------

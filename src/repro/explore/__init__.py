@@ -1,4 +1,4 @@
-"""Batched design-space exploration.
+"""Design-space exploration.
 
 The paper's central promise is that a container/iterator/algorithm library
 makes it cheap to *explore* many hardware design points ("it is feasible to

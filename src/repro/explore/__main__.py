@@ -36,7 +36,7 @@ import sys
 from ..obs import export as _obs_export
 from ..obs import profile as _obs_profile
 from ..obs import tracing as _obs_tracing
-from ..rtl import COMPILED_BATCHED
+from ..rtl import STRATEGIES
 from .report import comparison_report, coverage_summary, results_table
 from .runner import AUTO, ExplorationRunner
 from .spec import expand_spec, normalize_pipeline_spec
@@ -45,7 +45,7 @@ from .spec import expand_spec, normalize_pipeline_spec
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.explore",
-        description="Batched design-space exploration of the pattern library.",
+        description="Design-space exploration of the pattern library.",
         epilog="With --store DIR results persist between runs (an unchanged "
                "grid re-sweeps with zero simulations); with --server URL the "
                "sweep is submitted to a running 'python -m repro.serve' "
@@ -79,14 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = parser.add_argument_group("execution")
     run.add_argument("--grid", metavar="PATH", default=None,
                      help="JSON grid spec file (CLI axis flags override it)")
-    run.add_argument("--strategy", default=AUTO,
-                     choices=(AUTO, "event", "fixpoint", "compiled",
-                              COMPILED_BATCHED))
+    run.add_argument("--strategy", default=AUTO, choices=(AUTO, *STRATEGIES))
     run.add_argument("--processes", type=int, default=None, metavar="N",
                      help="fan uncached points over a process pool")
-    run.add_argument("--lanes", type=int, default=16, metavar="N",
-                     help="max lanes per batched simulation loop "
-                          "(compiled-batched strategy; default: 16)")
     run.add_argument("--max-cycles", type=int, default=2_000_000)
     run.add_argument("--verify", action="store_true",
                      help="also run a constrained-random verification "
@@ -236,7 +231,6 @@ def _run_remote(args, spec: dict) -> int:
         "verify": args.verify,
         "verify_seed": args.verify_seed,
         "verify_cycles": args.verify_cycles,
-        "lanes": args.lanes,
     }
     if args.trace is not None:
         # Server mode: the merged distributed trace (manager + every
@@ -312,7 +306,7 @@ def _run(args) -> int:
         strategy=args.strategy, processes=args.processes,
         max_cycles=args.max_cycles, verify=args.verify,
         verify_seed=args.verify_seed, verify_cycles=args.verify_cycles,
-        lanes=args.lanes, store=args.store)
+        store=args.store)
 
     sections = []
     with _obs_tracing.span("explore.sweep", strategy=args.strategy,

@@ -102,7 +102,7 @@ def expand_grid(designs: Sequence[str] = ("saa2vga",),
 
     The product is enumerated in a fixed nesting order (design, binding,
     pixel format, frame size, capacity), so two calls with the same axes
-    always return the same list — the property the batched runner's
+    always return the same list — the property the runner's
     deterministic reports rely on.  ``bindings=None`` means "every binding
     the design supports"; explicitly-passed bindings are intersected with
     the supported set, and combinations invalid for other reasons are

@@ -1,4 +1,4 @@
-"""Batched execution of design-space grids.
+"""Execution of design-space grids.
 
 :func:`evaluate_point` builds, simulates and characterises one
 :class:`~repro.explore.grid.DesignPoint`; :class:`ExplorationRunner` maps it
@@ -19,23 +19,15 @@ from ..obs.metrics import REGISTRY as _REGISTRY
 from ..designs import (
     BlurPatternDesign,
     Saa2VgaPatternDesign,
-    VideoSystem,
     run_stream_through,
 )
-from ..rtl import (
-    COMPILED,
-    COMPILED_BATCHED,
-    STRATEGIES,
-    BatchedSimulator,
-    Component,
-    batch_groups,
-)
+from ..rtl import COMPILED, STRATEGIES, Component
 from ..synth import estimate_design, estimate_power_mw
 from ..video import GRAY8, RGB24, RGB565, flatten, golden_blur3x3, random_frame
 
 PIXEL_FORMATS = {fmt.name: fmt for fmt in (GRAY8, RGB24, RGB565)}
 
-#: Strategy alias: pick the fastest backend for batched sweeps.  The compiled
+#: Strategy alias: pick the fastest backend for sweeps.  The compiled
 #: backend wins on every shipped design (it is differentially verified
 #: against the oracle in ``tests/rtl/test_strategy_equivalence.py``), and its
 #: one-time compile cost is amortised across a sweep because design classes
@@ -44,20 +36,13 @@ AUTO = "auto"
 
 
 def resolve_strategy(strategy: str) -> str:
-    """Map the ``"auto"`` alias to a concrete settle strategy.
-
-    ``"compiled-batched"`` is passed through: it is not a scalar
-    :class:`~repro.rtl.Simulator` strategy (the runner routes it to
-    :class:`~repro.rtl.BatchedSimulator` lane batches itself).
-    """
+    """Map the ``"auto"`` alias to a concrete settle strategy."""
     if strategy == AUTO:
         return COMPILED
-    if strategy == COMPILED_BATCHED:
-        return strategy
     if strategy not in STRATEGIES:
         raise ValueError(
-            f"unknown strategy {strategy!r}; expected {AUTO!r}, "
-            f"{COMPILED_BATCHED!r} or one of {STRATEGIES}")
+            f"unknown strategy {strategy!r}; expected {AUTO!r} or one of "
+            f"{STRATEGIES}")
     return strategy
 
 
@@ -154,11 +139,7 @@ class ExplorationResult:
 def _characterise(point, design, pixels, cycles, golden,
                   verify: bool, verify_seed: int, verify_cycles: int,
                   verify_strategy: str) -> ExplorationResult:
-    """Assemble one :class:`ExplorationResult` from a finished simulation.
-
-    Shared by the scalar per-point path and the batched lane path so both
-    produce byte-identical reports for the same point.
-    """
+    """Assemble one :class:`ExplorationResult` from a finished simulation."""
     area = estimate_design(design)
     coverage_pct = coverage_violations = None
     if verify:
@@ -200,10 +181,6 @@ def evaluate_point(point, strategy: str = AUTO,
     A module-level function so a ``multiprocessing`` pool can pickle it.
     """
     strategy = resolve_strategy(strategy)
-    if strategy == COMPILED_BATCHED:
-        return evaluate_points_batched(
-            [point], max_cycles=max_cycles, verify=verify,
-            verify_seed=verify_seed, verify_cycles=verify_cycles)[0]
     with _obs_tracing.span("explore.point", strategy=strategy,
                            design=getattr(point, "design",
                                           type(point).__name__)):
@@ -219,68 +196,6 @@ def evaluate_point(point, strategy: str = AUTO,
                                  result["cycles"], golden, verify,
                                  verify_seed, verify_cycles,
                                  verify_strategy=strategy)
-
-
-def evaluate_points_batched(points: Sequence,
-                            max_cycles: int = 2_000_000,
-                            verify: bool = False, verify_seed: int = 0,
-                            verify_cycles: int = 1500, lanes: int = 16,
-                            stats: Optional[Dict[str, int]] = None
-                            ) -> List[ExplorationResult]:
-    """Evaluate points through lane-batched lockstep simulation.
-
-    Every point gets its own fresh design hierarchy and its usual seeded
-    stimulus; points whose compiled batched programs are structurally
-    identical (same generated source, widths and memory shapes — see
-    :attr:`~repro.rtl.compile.BatchedProgram.signature`) are packed into
-    lane groups of at most ``lanes`` and advanced by one vectorized
-    simulation loop per group.  Incompatible points simply land in their
-    own (possibly 1-lane) groups — nothing is excluded.
-
-    Per lane, the simulation stops contributing once the sink has captured
-    the golden pixel count; the recorded stop cycle and the first
-    ``len(golden)`` pixels match the scalar strategies bit-for-bit (other
-    lanes in the group may keep that lane's clock running afterwards, which
-    cannot change already-captured output).
-
-    ``stats`` (optional dict) gets ``"batches"`` incremented by the number
-    of batched simulation loops run — the observability hook the runner and
-    the benchmark suite use.
-    """
-    with _obs_tracing.span("build", points=len(points)):
-        prepared = []
-        for point in points:
-            frame = stimulus_frame(point)
-            golden = golden_output(point, frame)
-            design = build_design(point)
-            system = VideoSystem(design, frames=[frame])
-            prepared.append((point, design, system, golden))
-
-    results: List[Optional[ExplorationResult]] = [None] * len(prepared)
-    systems = [system for _, _, system, _ in prepared]
-    for indices, programs in batch_groups(systems):
-        for start in range(0, len(indices), max(1, lanes)):
-            chunk = indices[start:start + max(1, lanes)]
-            chunk_programs = programs[start:start + max(1, lanes)]
-            batch = BatchedSimulator([systems[i] for i in chunk],
-                                     programs=chunk_programs)
-            conditions = [
-                (lambda s=prepared[i][2], n=len(prepared[i][3]):
-                 s.sink.count >= n)
-                for i in chunk
-            ]
-            done = batch.run_lockstep(conditions, max_cycles=max_cycles)
-            if stats is not None:
-                stats["batches"] = stats.get("batches", 0) + 1
-            with _obs_tracing.span("characterize", lanes=len(chunk)):
-                for lane, i in enumerate(chunk):
-                    point, design, system, golden = prepared[i]
-                    pixels = system.received_pixels()[:len(golden)]
-                    results[i] = _characterise(
-                        point, design, pixels, done[lane], golden,
-                        verify, verify_seed, verify_cycles,
-                        verify_strategy=COMPILED)
-    return results  # type: ignore[return-value]
 
 
 class ExplorationRunner:
@@ -312,11 +227,9 @@ class ExplorationRunner:
     def __init__(self, strategy: str = AUTO, processes: Optional[int] = None,
                  max_cycles: int = 2_000_000, verify: bool = False,
                  verify_seed: int = 0, verify_cycles: int = 1500,
-                 lanes: int = 16, store=None) -> None:
+                 store=None) -> None:
         if processes is not None and processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
-        if lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {lanes}")
         resolve_strategy(strategy)  # validate eagerly
         self.strategy = strategy
         self.processes = processes
@@ -326,9 +239,6 @@ class ExplorationRunner:
         self.verify = verify
         self.verify_seed = verify_seed
         self.verify_cycles = verify_cycles
-        #: Maximum lane count per batched simulation loop (only used when
-        #: ``strategy`` resolves to ``"compiled-batched"``).
-        self.lanes = lanes
         if store is not None and not hasattr(store, "get"):
             # A path was handed in; open a store over it (lazy import so the
             # serve package stays optional for plain in-process sweeps).
@@ -346,9 +256,6 @@ class ExplorationRunner:
         self.store_hits = 0
         #: Number of points actually simulated across all ``run`` calls.
         self.evaluations = 0
-        #: Number of batched lockstep simulation loops run (0 for scalar
-        #: strategies; a 16-point compatible sweep at ``lanes=16`` adds 1).
-        self.batch_runs = 0
 
     def _memo_key(self, point) -> Tuple:
         """Memoization key: the design point *and* the resolved strategy.
@@ -359,22 +266,14 @@ class ExplorationRunner:
         verification configuration is part of the key too: a result carrying
         coverage must never be served for a ``verify=False`` sweep (or for a
         different seed), and vice versa.
-
-        ``"compiled-batched"`` deliberately normalises to ``"compiled"``:
-        lane batching is an execution detail, not an observable one — every
-        lane's trace is proven bit-identical to the scalar compiled backend
-        (``tests/rtl/test_strategy_equivalence.py``), so a cached compiled
-        report is exactly what a batched run would produce, and vice versa.
-        Serving it avoids re-simulating a point just because the caller
-        toggled lane batching between sweeps.
         """
         return (point.key(), self.cache_strategy(),
                 self.verify, self.verify_seed, self.verify_cycles)
 
     def cache_strategy(self) -> str:
-        """The cache-normalised strategy (see :meth:`_memo_key`)."""
-        resolved = resolve_strategy(self.strategy)
-        return COMPILED if resolved == COMPILED_BATCHED else resolved
+        """The strategy as memo and store keys name it (``"auto"``
+        resolved), so ``auto`` and ``compiled`` share entries."""
+        return resolve_strategy(self.strategy)
 
     def _store_get(self, point) -> Optional[ExplorationResult]:
         """Probe the persistent store for a point; ``None`` on any miss."""
@@ -438,16 +337,7 @@ class ExplorationRunner:
         _REGISTRY.inc("explore_cache_hits", len(points) - len(todo))
         _REGISTRY.inc("explore_evaluations", len(todo))
         if todo:
-            if resolve_strategy(self.strategy) == COMPILED_BATCHED:
-                stats: Dict[str, int] = {}
-                fresh = evaluate_points_batched(
-                    todo, max_cycles=self.max_cycles, verify=self.verify,
-                    verify_seed=self.verify_seed,
-                    verify_cycles=self.verify_cycles, lanes=self.lanes,
-                    stats=stats)
-                self.batch_runs += stats.get("batches", 0)
-                _REGISTRY.inc("explore_batch_runs", stats.get("batches", 0))
-            elif self.processes is not None and self.processes > 1:
+            if self.processes is not None and self.processes > 1:
                 fresh = self._run_pool(todo)
             else:
                 fresh = [evaluate_point(point, strategy=self.strategy,

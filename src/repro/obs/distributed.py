@@ -216,8 +216,6 @@ class ShardCapture:
                 "compiles": len(profiler.compiles),
                 "compile_seconds": sum(float(c["seconds"])
                                        for c in profiler.compiles),
-                "rebinds": profiler.rebinds,
-                "rebind_seconds": profiler.rebind_seconds,
             }
         return payload
 

@@ -11,8 +11,8 @@ strategy:
 * analysis-miss (fallback) hits — settles where the compiled schedule was
   caught missing a write and self-corrected through the fixpoint oracle;
 
-plus per-design compile/rebind accounting: emission time, cyclic-group
-counts and sizes, opaque (non-dissolved) process counts.
+plus per-design compile accounting: emission time, cyclic-group counts
+and sizes, opaque (non-dissolved) process counts.
 
 Like tracing, the disabled path is one attribute read
 (:func:`active` returning ``None``) and allocates nothing; the simulator
@@ -32,8 +32,6 @@ class SettleProfiler:
         self._lock = threading.Lock()
         self.strategies: Dict[str, Dict[str, float]] = {}
         self.compiles: List[Dict[str, object]] = []
-        self.rebinds = 0
-        self.rebind_seconds = 0.0
 
     def _bucket(self, strategy: str) -> Dict[str, float]:
         bucket = self.strategies.get(strategy)
@@ -75,11 +73,6 @@ class SettleProfiler:
         with self._lock:
             self.compiles.append(entry)
 
-    def record_rebind(self, seconds: float) -> None:
-        with self._lock:
-            self.rebinds += 1
-            self.rebind_seconds += seconds
-
     # -- reporting ---------------------------------------------------------
 
     def report(self) -> str:
@@ -110,9 +103,6 @@ class SettleProfiler:
                     f"compile: {len(self.compiles)} emission(s), "
                     f"{total:.3f} s total; {cyclic} cyclic group(s), "
                     f"{opaque} opaque proc(s)")
-            if self.rebinds:
-                lines.append(f"rebind: {self.rebinds} hit(s), "
-                             f"{self.rebind_seconds:.3f} s total")
             return "\n".join(lines)
 
 

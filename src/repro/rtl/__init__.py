@@ -17,17 +17,12 @@ from .errors import (
     SimulationError,
     WidthError,
 )
-from .batch import COMPILED_BATCHED, BatchedSimulator, LaneView, batch_groups
 from .fsm import FSM
 from .signal import REG, WIRE, Signal, SignalBundle, register, wire
 from .simulator import COMPILED, EVENT, FIXPOINT, STRATEGIES, Simulator, pulse
 from .trace import Recorder, VCDWriter
 
 __all__ = [
-    "BatchedSimulator",
-    "COMPILED_BATCHED",
-    "LaneView",
-    "batch_groups",
     "Bits",
     "bits_for",
     "clog2",

@@ -18,12 +18,6 @@ from typing import Callable, Sequence
 from ...obs import tracing as _obs_tracing
 from .analyze import ProcAnalysis, analyze_proc
 from .emit import CompiledProgram, CompileReport, emit_program
-from .emit_batched import (
-    BatchedProgram,
-    BatchReport,
-    VectorizeError,
-    emit_batched_program,
-)
 from .schedule import Schedule, build_schedule
 
 
@@ -49,12 +43,8 @@ __all__ = [
     "build_schedule",
     "compile_design",
     "emit_program",
-    "emit_batched_program",
-    "BatchedProgram",
-    "BatchReport",
     "CompiledProgram",
     "CompileReport",
     "ProcAnalysis",
     "Schedule",
-    "VectorizeError",
 ]

@@ -31,7 +31,6 @@ from ..obs.metrics import REGISTRY
 #: Names bumped by the RTL layer itself.  Other layers may register their
 #: own names freely — the registry is open.
 SIMULATOR_CONSTRUCTIONS = "simulator_constructions"
-BATCHED_CONSTRUCTIONS = "batched_simulator_constructions"
 
 
 def bump(name: str, amount: int = 1) -> int:
@@ -59,11 +58,9 @@ def delta(before: Dict[str, int],
 
 
 def simulations_since(before: Dict[str, int]) -> int:
-    """Total simulator constructions (scalar + batched) since ``before``.
+    """Total simulator constructions since ``before``.
 
     The acceptance metric of the persistent-store layer: a warm re-sweep
     must leave this at exactly 0.
     """
-    diff = delta(before)
-    return (diff.get(SIMULATOR_CONSTRUCTIONS, 0)
-            + diff.get(BATCHED_CONSTRUCTIONS, 0))
+    return delta(before).get(SIMULATOR_CONSTRUCTIONS, 0)

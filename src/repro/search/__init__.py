@@ -3,7 +3,7 @@
 ``repro.verify`` reports covergroup closure and ``repro.explore``
 enumerates grids; this package feeds the first back into the second.  A
 budgeted driver proposes (target, stimulus seed) and design-point
-candidates, evaluates them through the existing lockstep/runner paths,
+candidates, evaluates them through the existing verify/runner paths,
 and spends the remaining budget where coverage is still open — rewarding
 marginal bin/cross closure and Pareto improvement on
 (throughput × synth area).

@@ -24,7 +24,7 @@ import sys
 from ..obs import export as _obs_export
 from ..obs import profile as _obs_profile
 from ..obs import tracing as _obs_tracing
-from ..rtl import COMPILED_BATCHED
+from ..rtl import COMPILED, STRATEGIES
 from ..verify.rng import SEED_ENV, default_seed
 from ..verify.session import TARGETS
 from .driver import (
@@ -64,12 +64,10 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--seed", type=int, default=default_seed(),
                         help=f"root seed for every proposal draw "
                              f"(default: ${SEED_ENV} or 0)")
-    search.add_argument("--strategy", default=COMPILED_BATCHED,
-                        choices=("event", "fixpoint", "compiled",
-                                 COMPILED_BATCHED))
+    search.add_argument("--strategy", default=COMPILED, choices=STRATEGIES)
     search.add_argument("--batch", type=int, default=1, metavar="N",
-                        help="proposals per round; fresh seeds in a round "
-                             "share one lockstep simulation (default: 1)")
+                        help="proposals per round, all for the one target "
+                             "the bandit picked (default: 1)")
     search.add_argument("--epsilon", type=float, default=0.1,
                         help="bandit exploration rate (default: 0.1)")
     search.add_argument("--min-coverage", type=float, default=100.0,

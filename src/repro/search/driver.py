@@ -11,8 +11,8 @@ driver *allocates* the simulation budget one proposal at a time —
    next stimulus seeds (scan / mutate / crossover, themselves under an
    operator bandit);
 3. the proposals run through the memoized, store-backed
-   :class:`~repro.search.state.SessionEvaluator` (one lockstep
-   :func:`~repro.verify.session.verify_matrix` lane per fresh seed);
+   :class:`~repro.search.state.SessionEvaluator` (one scalar verify
+   session per fresh seed);
 4. each session's covergroup merges into the persistent
    :class:`~repro.verify.coverage.CoverageDB` fitness state, and the
    *marginal* goals it closed (:meth:`CoverageDB.add_delta`) are the
@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import tracing as _obs_tracing
 from ..obs.metrics import REGISTRY as _REGISTRY
-from ..rtl import COMPILED_BATCHED
+from ..rtl import COMPILED, STRATEGIES
 from ..verify.coverage import CoverageDB
 from ..verify.rng import RngPool
 from ..verify.session import TARGETS
@@ -66,9 +66,9 @@ class SearchConfig:
     budget: int = 32
     cycles: Optional[int] = None
     seed: int = 0
-    strategy: str = COMPILED_BATCHED
-    #: Proposals per round — fresh seeds in one round share a single
-    #: lockstep simulation (one lane per seed).
+    strategy: str = COMPILED
+    #: Proposals per round: the target bandit picks once per round, and
+    #: every proposal in it is rewarded against that one pick.
     batch: int = 1
     epsilon: float = 0.1
     min_coverage: float = 100.0
@@ -84,6 +84,9 @@ class SearchConfig:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}; "
+                             f"expected one of {STRATEGIES}")
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -336,7 +339,7 @@ def grid_baseline(config: SearchConfig,
 
 def propose_seeds(target: str, count: int, seed: int = 0,
                   cycles: Optional[int] = None,
-                  strategy: str = COMPILED_BATCHED) -> List[int]:
+                  strategy: str = COMPILED) -> List[int]:
     """The first ``count`` stimulus seeds search proposes for one target.
 
     Runs a real coverage search (budget ``count``) against the healthy

@@ -124,7 +124,7 @@ class SeedProposer:
         return seed, op
 
     def propose_batch(self, count: int) -> List[Tuple[int, str]]:
-        """``count`` distinct fresh proposals (one lockstep lane each)."""
+        """``count`` distinct fresh proposals (one session each)."""
         return [self.propose() for _ in range(max(0, count))]
 
     def update(self, seed: int, op: str, gain: int) -> None:

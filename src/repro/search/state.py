@@ -16,8 +16,8 @@ resume from what is already closed instead of re-earning it.
    CLI and the sweep service use — a warm store re-search performs zero
    simulations (the store-interplay test pins this via
    ``repro.rtl.instrument``),
-3. one :func:`~repro.verify.session.verify_matrix` lockstep call for
-   whatever is left (one lane per uncached seed).
+3. one scalar :func:`~repro.verify.session.verify` session per seed
+   still uncached.
 
 Clean sessions are written back; failing sessions are never cached,
 matching the verify CLI's policy.
@@ -29,7 +29,7 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.metrics import REGISTRY as _REGISTRY
-from ..rtl import COMPILED_BATCHED
+from ..rtl import COMPILED
 from ..verify.coverage import CoverageDB
 from ..verify.session import TARGETS, verify_matrix
 
@@ -75,7 +75,7 @@ class SessionEvaluator:
     """Memoized, store-backed evaluation of (target, seed) proposals."""
 
     def __init__(self, cycles: Optional[int] = None,
-                 strategy: str = COMPILED_BATCHED, store=None,
+                 strategy: str = COMPILED, store=None,
                  strict: bool = False) -> None:
         self.cycles = cycles
         self.strategy = strategy
@@ -108,7 +108,7 @@ class SessionEvaluator:
         ``record`` is the :func:`~repro.serve.records.verify_record` dict
         (its ``result.coverage_group`` merges straight into a
         :class:`~repro.verify.coverage.CoverageDB`).  Uncached seeds run
-        as one lockstep matrix; only clean fresh sessions are persisted.
+        one session each; only clean fresh sessions are persisted.
         """
         from ..serve.records import record_matches, verify_record
 

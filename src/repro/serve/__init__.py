@@ -22,8 +22,7 @@ The explore layer made design-space sweeps cheap; this package makes them
     (:func:`diff_points`, the incremental re-sweep), the missing points are
     split into shards, and shards are farmed to a worker-process pool with
     work-stealing dispatch, per-shard timeouts and bounded retry on worker
-    death.  Shards reuse the batched lockstep backend
-    (:func:`repro.rtl.batch_groups`) so compatible points still share lanes.
+    death.
 
 ``serve.server`` / ``serve.client``
     A thin stdlib HTTP/JSON service (``POST /sweeps``, ``GET /sweeps/<id>``,

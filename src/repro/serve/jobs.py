@@ -7,10 +7,7 @@ The job model turns a grid of points into durable results:
    only absent or invalidated points are ever scheduled).
 2. **Shard** — the missing points are split into contiguous shards
    (:func:`split_shards`).  A shard is the unit of dispatch, retry and
-   timeout; within a worker, a shard under ``strategy="compiled-batched"``
-   is packed into lockstep lanes by the batched backend's own
-   :func:`~repro.rtl.batch_groups` machinery, so service sweeps keep the
-   PR 5 lane-sharing speedup.
+   timeout; a worker evaluates its shard's points one after another.
 3. **Farm** — a pool of worker *processes* pulls shards work-stealing
    style: the manager assigns the next pending shard to whichever worker
    becomes idle first, so a slow shard never blocks its siblings.  Each
@@ -70,7 +67,7 @@ class SweepConfig:
 
     Mirrors the :class:`~repro.explore.runner.ExplorationRunner`
     constructor arguments that affect results; :meth:`cache_strategy`
-    applies the same normalisation the runner's memo key uses, so the
+    resolves ``"auto"`` exactly as the runner's memo key does, so the
     service, the CLI ``--store`` mode and plain in-process sweeps all hit
     the same store entries.
     """
@@ -80,7 +77,6 @@ class SweepConfig:
     verify: bool = False
     verify_seed: int = 0
     verify_cycles: int = 1500
-    lanes: int = 16
     #: Capture a merged distributed trace for this sweep.  Off by default
     #: so untraced jobs never enable worker-side tracing (the zero-overhead
     #: contract extends across the pool).  Deliberately *not* part of the
@@ -89,10 +85,8 @@ class SweepConfig:
 
     def cache_strategy(self) -> str:
         from ..explore.runner import resolve_strategy
-        from ..rtl import COMPILED, COMPILED_BATCHED
 
-        resolved = resolve_strategy(self.strategy)
-        return COMPILED if resolved == COMPILED_BATCHED else resolved
+        return resolve_strategy(self.strategy)
 
     def key_for(self, point) -> str:
         """The store key this config assigns to ``point``."""
@@ -110,7 +104,6 @@ class SweepConfig:
             "verify": self.verify,
             "verify_seed": self.verify_seed,
             "verify_cycles": self.verify_cycles,
-            "lanes": self.lanes,
             "trace": self.trace,
         }
 
@@ -163,14 +156,7 @@ def diff_points(points: Sequence, store: Optional[ResultStore],
 
 
 def split_shards(points: Sequence, shard_size: int) -> List[List]:
-    """Contiguous shards of at most ``shard_size`` points, order-preserving.
-
-    Contiguity matters: grids enumerate in axis-nesting order, so adjacent
-    points usually differ only in payload parameters and share a batched
-    program signature — exactly what lets a worker's
-    :func:`~repro.explore.runner.evaluate_points_batched` call pack a whole
-    shard into one lockstep lane group.
-    """
+    """Contiguous shards of at most ``shard_size`` points, order-preserving."""
     if shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
     points = list(points)
@@ -191,27 +177,16 @@ def evaluate_shard(point_dicts: Sequence[dict],
     process, in-process (tests, the no-worker fallback) and across Python
     versions: records, not live objects, cross the process boundary.
     """
-    from ..explore.runner import (
-        evaluate_point,
-        evaluate_points_batched,
-        resolve_strategy,
-    )
-    from ..rtl import COMPILED_BATCHED
+    from ..explore.runner import evaluate_point
 
     config = SweepConfig.from_dict(dict(config_dict))
     points = [point_from_dict(data) for data in point_dicts]
-    if resolve_strategy(config.strategy) == COMPILED_BATCHED:
-        results = evaluate_points_batched(
-            points, max_cycles=config.max_cycles, verify=config.verify,
-            verify_seed=config.verify_seed,
-            verify_cycles=config.verify_cycles, lanes=config.lanes)
-    else:
-        results = [evaluate_point(point, strategy=config.strategy,
-                                  max_cycles=config.max_cycles,
-                                  verify=config.verify,
-                                  verify_seed=config.verify_seed,
-                                  verify_cycles=config.verify_cycles)
-                   for point in points]
+    results = [evaluate_point(point, strategy=config.strategy,
+                              max_cycles=config.max_cycles,
+                              verify=config.verify,
+                              verify_seed=config.verify_seed,
+                              verify_cycles=config.verify_cycles)
+               for point in points]
     record_config = config.record_config()
     out = []
     for point, result in zip(points, results):
@@ -403,8 +378,7 @@ class SearchJob:
     the same manager table and stream through the existing
     ``/sweeps/<id>/events?follow=1`` protocol unchanged.  The search
     itself is feedback-driven and sequential, so it runs on one manager-
-    side thread (fresh seeds within a round still share a lockstep
-    simulation); the manager's store backs its session memo, making
+    side thread; the manager's store backs its session memo, making
     repeat proposals free across jobs and processes.
     """
 
@@ -706,6 +680,7 @@ class JobManager:
         Validation errors raise :class:`ValueError` before any thread
         starts, so the HTTP layer can 400 them.
         """
+        from ..rtl import COMPILED
         from ..search.driver import SearchConfig
 
         known = {"targets", "budget", "cycles", "seed", "strategy",
@@ -737,7 +712,7 @@ class JobManager:
                 cycles=(None if body.get("cycles") is None
                         else int(body["cycles"])),
                 seed=int(body.get("seed", 0)),
-                strategy=str(body.get("strategy", "compiled-batched")),
+                strategy=str(body.get("strategy", COMPILED)),
                 batch=int(body.get("batch", 1)),
                 epsilon=float(body.get("epsilon", 0.1)),
                 min_coverage=float(body.get("min_coverage", 100.0)))

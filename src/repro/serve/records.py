@@ -88,12 +88,11 @@ def exploration_config(cache_strategy: str, verify: bool, verify_seed: int,
                        verify_cycles: int) -> Dict[str, object]:
     """Canonical config block entering exploration keys and records.
 
-    ``cache_strategy`` must already be cache-normalised (``"auto"``
-    resolved, ``"compiled-batched"`` folded to ``"compiled"`` — lane
-    batching is an execution detail, not an observable one); the explore
-    runner's :meth:`~repro.explore.runner.ExplorationRunner._memo_key`
-    defines that normalisation and :func:`repro.serve.jobs.SweepConfig`
-    applies it for the job layer.
+    ``cache_strategy`` must already be resolved (``"auto"`` mapped to the
+    backend it runs); the explore runner's
+    :meth:`~repro.explore.runner.ExplorationRunner.cache_strategy` defines
+    that resolution and :func:`repro.serve.jobs.SweepConfig` applies it for
+    the job layer.
     """
     return {
         "strategy": str(cache_strategy),

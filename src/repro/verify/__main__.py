@@ -13,9 +13,10 @@ import argparse
 import sys
 
 from ..obs import profile as _obs_profile
+from ..rtl import EVENT, STRATEGIES
 from .coverage import CoverageDB
 from .rng import SEED_ENV, default_seed
-from .session import TARGETS, verify, verify_matrix
+from .session import TARGETS, verify_matrix
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,9 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"root seeds to run (default: ${SEED_ENV} or 0)")
     parser.add_argument("--cycles", type=int, default=None,
                         help="cycle budget override (default: per-target)")
-    parser.add_argument("--strategy", default="event",
-                        choices=("event", "fixpoint", "compiled",
-                                 "compiled-batched"))
+    parser.add_argument("--strategy", default=EVENT, choices=STRATEGIES)
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the merged coverage database here")
     parser.add_argument("--min-coverage", type=float, default=None, metavar="PCT",
@@ -105,15 +104,8 @@ def _run(args) -> int:
                 if record_matches(record, "verify"):
                     cached[seed] = record
         fresh_seeds = [seed for seed in args.seeds if seed not in cached]
-        # compiled-batched runs the whole seed matrix for a target as ONE
-        # lockstep simulation loop (one lane per seed); scalar strategies
-        # run one session per (target, seed) pair.
-        if args.strategy == "compiled-batched":
-            results = verify_matrix(name, fresh_seeds, cycles=args.cycles)
-        else:
-            results = [verify(name, seed=seed, cycles=args.cycles,
-                              strategy=args.strategy)
-                       for seed in fresh_seeds]
+        results = verify_matrix(name, fresh_seeds, cycles=args.cycles,
+                                strategy=args.strategy)
         by_seed = {result.seed: result for result in results}
         for seed in args.seeds:
             if seed in cached:

@@ -38,15 +38,6 @@ KNOWN = {
         "SyncLIFO presents the bottom of the stack instead of the top",
     "queue.ready_when_full":
         "QueueFIFO asserts sink.ready even when the FIFO is full",
-    # Batched-emitter faults: these switch the *vectorized code generator*
-    # (repro.rtl.compile.emit_batched), not a primitive — enabling one makes
-    # every BatchedSimulator program emitted from then on carry the fault.
-    "batched.cross_lane_mask_reuse":
-        "Batched emitter ORs a branch's lane mask with its lane-reversed "
-        "self, leaking guarded writes into sibling lanes",
-    "batched.stale_lane_commit":
-        "Batched emitter's clock-edge commit skips the last lane column, "
-        "freezing that lane's registers at their pre-edge values",
 }
 
 _active: Set[str] = set()

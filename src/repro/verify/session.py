@@ -26,13 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from ..rtl import (
-    COMPILED_BATCHED,
-    EVENT,
-    BatchedSimulator,
-    Component,
-    Simulator,
-)
+from ..rtl import COMPILED, EVENT, Component, Simulator
 from .coverage import CoverageDB, CoverGroup
 from .monitor import (
     ArbiterMonitor,
@@ -672,106 +666,28 @@ def verify(target: Union[str, Component], seed: int = 0,
         or 1500 for ad-hoc components).
     strategy:
         Settle strategy — sessions behave identically under ``event``,
-        ``fixpoint``, ``compiled`` and (as a one-lane batch)
-        ``compiled-batched``.
+        ``fixpoint`` and ``compiled``.
     strict:
         Raise :class:`VerificationError` on the first violation instead of
         collecting all of them.
     """
-    if strategy == COMPILED_BATCHED:
-        return verify_matrix(target, [seed], cycles=cycles, strict=strict)[0]
     pool = RngPool(seed)
     bench, name, budget = _resolve_bench(target, pool, cycles)
     return _run_bench(bench, name, pool.seed, budget, strategy, strict)
 
 
 def verify_matrix(target: Union[str, Component], seeds: Sequence[int],
-                  cycles: Optional[int] = None,
-                  strategy: str = COMPILED_BATCHED,
+                  cycles: Optional[int] = None, strategy: str = COMPILED,
                   strict: bool = False) -> List[VerifyResult]:
-    """Run a whole seed matrix over one target as a single batched session.
-
-    One bench is built per seed — each with its own independent
-    :class:`RngPool`, so lane ``i`` receives exactly the stimulus a scalar
-    ``verify(target, seed=seeds[i])`` session would — and every lane's DUT
-    advances through one :class:`~repro.rtl.BatchedSimulator` lockstep loop.
-    Drivers poke and monitors observe through per-lane mirrored signal
-    state, so the per-seed results (violations, coverage, transactions) are
-    identical to the scalar sessions'.
-
-    A scalar ``strategy`` is accepted as an escape hatch and simply runs
-    the seeds sequentially through :func:`verify`.
-
-    For a component target, each lane needs its own DUT instance:
-    component targets are re-built per lane via a fresh
-    ``type(target)``-independent path only when ``target`` is a registered
-    name; passing a live component with more than one seed is rejected
-    (two lanes cannot share one hierarchy).
-    """
-    seeds = list(seeds)
-    if not seeds:
-        return []
-    if strategy != COMPILED_BATCHED:
-        return [verify(target, seed=seed, cycles=cycles, strategy=strategy,
-                       strict=strict) for seed in seeds]
-    if not isinstance(target, str) and len(seeds) > 1:
-        raise VerificationError(
-            "batched seed matrices over a live component need one DUT per "
-            "lane; pass a registered target name instead")
-    pools = [RngPool(seed) for seed in seeds]
-    benches: List[_Bench] = []
-    name = ""
-    budget = 0
-    for pool in pools:
-        bench, name, budget = _resolve_bench(target, pool, cycles)
-        benches.append(bench)
-    sim = BatchedSimulator([bench.top for bench in benches])
-    for lane, bench in enumerate(benches):
-        view = sim.lane(lane)
-        for monitor in bench.monitors:
-            monitor.attach(view)
-    try:
-        for _ in range(budget):
-            cycle = sim.cycles
-            for bench in benches:
-                for driver in bench.drivers:
-                    driver.drive(cycle)
-            sim.settle()
-            for bench in benches:
-                for driver in bench.drivers:
-                    driver.observe(cycle)
-                for monitor in bench.monitors:
-                    monitor.pre_edge(cycle)
-                bench.group.sample(**bench.sampler())
-            sim.step()
-            if strict:
-                for pool, bench in zip(pools, benches):
-                    for monitor in bench.monitors:
-                        if monitor.violations:
-                            raise VerificationError(
-                                f"{monitor.violations[0]}\nreproduce with: "
-                                f"{SEED_ENV}={pool.seed} python -m "
-                                f"repro.verify '{name}'")
-    finally:
-        for bench in benches:
-            for monitor in bench.monitors:
-                monitor.detach()
-    results: List[VerifyResult] = []
-    for pool, bench in zip(pools, benches):
-        violations = [v for monitor in bench.monitors
-                      for v in monitor.violations]
-        violations.sort(key=lambda v: v.cycle)
-        results.append(VerifyResult(
-            target=name, seed=pool.seed, cycles=budget,
-            strategy=COMPILED_BATCHED, coverage=bench.group,
-            violations=violations,
-            transactions=sum(m.transactions for m in bench.monitors)))
-    return results
+    """Run one :func:`verify` session per seed over one target, in seed
+    order; each seed gets its own bench and :class:`RngPool`."""
+    return [verify(target, seed=seed, cycles=cycles, strategy=strategy,
+                   strict=strict) for seed in seeds]
 
 
 def verify_gains(target: Union[str, Component], seeds: Sequence[int],
                  db: CoverageDB, cycles: Optional[int] = None,
-                 strategy: str = COMPILED_BATCHED,
+                 strategy: str = COMPILED,
                  strict: bool = False) -> tuple:
     """Run a seed matrix and fold its coverage into ``db``, seed by seed.
 
@@ -780,9 +696,7 @@ def verify_gains(target: Union[str, Component], seeds: Sequence[int],
     (:meth:`CoverageDB.add_delta`).  Merge order is seed order, so when two
     seeds both hit a previously-open goal the earlier one takes the credit
     — exactly the marginal-closure reward the coverage-directed search
-    driver (:mod:`repro.search`) optimises.  Under the default
-    ``compiled-batched`` strategy the whole matrix still runs as one
-    lockstep session.
+    driver (:mod:`repro.search`) optimises.
     """
     results = verify_matrix(target, seeds, cycles=cycles, strategy=strategy,
                             strict=strict)

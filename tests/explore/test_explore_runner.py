@@ -219,6 +219,15 @@ def test_memo_treats_auto_and_compiled_as_the_same_key():
     assert runner.cache_hits == len(points)
 
 
+def test_batched_strategy_resolution_and_validation():
+    """``"compiled-batched"`` names no backend: it is rejected up front,
+    with the valid choices named, instead of failing mid-sweep."""
+    with pytest.raises(ValueError, match="one of"):
+        resolve_strategy("compiled-batched")
+    with pytest.raises(ValueError):
+        ExplorationRunner(strategy="compiled-batched")
+
+
 # -- constrained-random verification in sweeps --------------------------------
 
 
@@ -260,96 +269,3 @@ def test_plain_sweep_rows_omit_coverage_columns():
     res = ExplorationRunner().run(points)[0]
     assert "cov%" not in res.row()
     assert "functional coverage: not collected" in coverage_summary([res])
-
-
-# -- batched lane-packed sweeps ------------------------------------------------
-
-
-from repro.explore.runner import evaluate_point  # noqa: E402
-from repro.rtl import COMPILED_BATCHED  # noqa: E402
-
-#: 16 points sharing one batched-program signature (only the frame shape —
-#: pure stimulus — varies), so the whole grid packs into one lane batch.
-BATCH_GRID = dict(
-    designs=("saa2vga",), bindings=("fifo",), pixel_formats=("gray8",),
-    frame_sizes=tuple((w, h) for w in (6, 8, 10, 12) for h in (4, 5, 6, 7)),
-    capacities=(8,))
-
-
-def test_batched_sweep_runs_one_loop_and_matches_scalar_reports():
-    points = expand_grid(**BATCH_GRID)
-    assert len(points) == 16
-    scalar = ExplorationRunner(strategy=COMPILED).run(points)
-    runner = ExplorationRunner(strategy=COMPILED_BATCHED)
-    batched = runner.run(points)
-    assert batched == scalar, \
-        "batched sweep reports must be byte-identical to scalar compiled"
-    assert runner.batch_runs == 1, \
-        "16 compatible points at lanes=16 must share one simulation loop"
-    assert runner.evaluations == 16
-
-
-def test_batched_sweep_respects_lane_budget_and_signature_groups():
-    # 8 compatible frame-shape variants x 2 capacities: two signature
-    # groups; lanes=4 cuts each group of 8 into two loops -> 4 in total.
-    points = expand_grid(
-        designs=("saa2vga",), bindings=("fifo",), pixel_formats=("gray8",),
-        frame_sizes=tuple((w, 4) for w in (5, 6, 7, 8, 9, 10, 11, 12)),
-        capacities=(8, 16))
-    assert len(points) == 16
-    runner = ExplorationRunner(strategy=COMPILED_BATCHED, lanes=4)
-    batched = runner.run(points)
-    assert runner.batch_runs == 4
-    assert batched == ExplorationRunner(strategy=COMPILED).run(points)
-
-
-def test_memo_shares_cache_between_compiled_and_batched():
-    """Regression (lane batching vs memoization): batched lanes are proven
-    trace-identical to scalar compiled, so the two strategies share one
-    memo key — toggling between them must serve cache hits, and the cached
-    reports must be the identical objects either way."""
-    points = expand_grid(**BATCH_GRID)
-    runner = ExplorationRunner(strategy=COMPILED)
-    scalar = runner.run(points)
-    assert runner.evaluations == len(points)
-
-    runner.strategy = COMPILED_BATCHED
-    batched = runner.run(points)
-    assert runner.evaluations == len(points), \
-        "switching to compiled-batched must not re-simulate cached points"
-    assert runner.cache_hits == len(points)
-    assert runner.batch_runs == 0
-    assert [id(res) for res in batched] == [id(res) for res in scalar]
-
-    # And the other direction: batched-first, scalar served from cache.
-    other = ExplorationRunner(strategy=COMPILED_BATCHED)
-    first = other.run(points)
-    other.strategy = COMPILED
-    second = other.run(points)
-    assert other.evaluations == len(points)
-    assert other.cache_hits == len(points)
-    assert [id(res) for res in second] == [id(res) for res in first]
-
-
-def test_evaluate_point_accepts_batched_strategy():
-    point = expand_grid(**BATCH_GRID)[0]
-    assert evaluate_point(point, strategy=COMPILED_BATCHED) == \
-        evaluate_point(point, strategy=COMPILED)
-
-
-def test_batched_strategy_resolution_and_validation():
-    assert resolve_strategy(COMPILED_BATCHED) == COMPILED_BATCHED
-    ExplorationRunner(strategy=COMPILED_BATCHED)  # accepted eagerly
-    with pytest.raises(ValueError):
-        ExplorationRunner(lanes=0)
-
-
-def test_batched_sweep_with_verify_matches_scalar_coverage():
-    points = expand_grid(**BATCH_GRID)[:2]
-    scalar = ExplorationRunner(strategy=COMPILED, verify=True,
-                               verify_cycles=800).run(points)
-    batched = ExplorationRunner(strategy=COMPILED_BATCHED, verify=True,
-                                verify_cycles=800).run(points)
-    assert batched == scalar
-    for res in batched:
-        assert res.coverage_pct is not None

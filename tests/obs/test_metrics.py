@@ -109,11 +109,11 @@ class TestInstrumentShim:
 
     def test_delta_and_simulations_since_contract(self):
         before = instrument.snapshot()
-        instrument.bump(instrument.SIMULATOR_CONSTRUCTIONS)
-        instrument.bump(instrument.BATCHED_CONSTRUCTIONS, 2)
+        instrument.bump(instrument.SIMULATOR_CONSTRUCTIONS, 3)
+        instrument.bump("shim_unrelated_counter", 2)
         diff = instrument.delta(before)
-        assert diff[instrument.SIMULATOR_CONSTRUCTIONS] == 1
-        assert diff[instrument.BATCHED_CONSTRUCTIONS] == 2
+        assert diff[instrument.SIMULATOR_CONSTRUCTIONS] == 3
+        assert diff["shim_unrelated_counter"] == 2
         assert instrument.simulations_since(before) == 3
 
 

@@ -65,24 +65,29 @@ DESIGNS = {
 
 
 def trace_design(factory, expected, strategy):
-    """Simulate a design sampling *every* signal each cycle."""
+    """Simulate a design sampling *every* signal each cycle; also return
+    the final contents of every memory."""
     system = VideoSystem(factory(), frames=[FRAME])
     sim = Simulator(system, strategy=strategy)
     recorder = Recorder(sim, system.all_signals())
     sim.run_until(lambda: system.sink.count >= len(expected), 50_000)
-    return system.received_pixels(), sim.cycles, recorder.rows, sim
+    memories = [mem.dump() for mem in system.all_memories()]
+    return system.received_pixels(), sim.cycles, recorder.rows, memories, sim
 
 
 @pytest.mark.parametrize("strategy", OPTIMISED)
 @pytest.mark.parametrize("label", sorted(DESIGNS))
 def test_traces_identical_to_fixpoint_oracle(label, strategy):
     factory, expected = DESIGNS[label]
-    pixels, cycles, rows, sim = trace_design(factory, expected, strategy)
-    fp_pixels, fp_cycles, fp_rows, _ = trace_design(factory, expected, FIXPOINT)
+    pixels, cycles, rows, memories, sim = trace_design(factory, expected,
+                                                       strategy)
+    fp_pixels, fp_cycles, fp_rows, fp_memories, _ = trace_design(
+        factory, expected, FIXPOINT)
     assert pixels == expected
     assert pixels == fp_pixels
     assert cycles == fp_cycles
     assert rows == fp_rows
+    assert memories == fp_memories
     if strategy == COMPILED:
         assert sim.analysis_misses == 0, \
             "static analysis under-approximated a write set"
@@ -341,88 +346,3 @@ def test_verification_sessions_identical_across_strategies(target):
         )
     assert outcomes[EVENT] == outcomes[FIXPOINT]
     assert outcomes[COMPILED] == outcomes[FIXPOINT]
-
-
-# -- batched lockstep differential tests --------------------------------------
-
-
-from repro.rtl import BatchedSimulator  # noqa: E402
-
-#: Per-lane stimulus for the batched differential runs: same shape (so all
-#: lanes finish the same cycle and no lane overruns), different content.
-BATCH_SEEDS = (77, 101, 202)
-
-
-def _golden_for(label, frame):
-    """The expected output pixels of DESIGNS[label] for an arbitrary frame."""
-    if label in ("blur pattern", "blur custom", "flow blur-hist"):
-        return flatten(golden_blur3x3(frame))
-    return flatten(frame)
-
-
-def _scalar_lane_reference(factory, frame, golden, strategy):
-    """One lane's full scalar reference: pixels, cycles, trace, memories."""
-    system = VideoSystem(factory(), frames=[frame])
-    sim = Simulator(system, strategy=strategy)
-    recorder = Recorder(sim, system.all_signals())
-    sim.run_until(lambda: system.sink.count >= len(golden), 50_000)
-    return (system.received_pixels(), sim.cycles, recorder.rows,
-            [mem.dump() for mem in system.all_memories()])
-
-
-@pytest.mark.parametrize("label", sorted(DESIGNS))
-def test_batched_lanes_identical_to_all_scalar_strategies(label):
-    """Every lane of a batched lockstep run must be bit-identical — full
-    per-cycle signal traces and memory snapshots included — to a scalar
-    event/fixpoint/compiled simulation of the same point."""
-    factory, _ = DESIGNS[label]
-    frames = [random_frame(10, 6, seed=seed) for seed in BATCH_SEEDS]
-    goldens = [_golden_for(label, frame) for frame in frames]
-
-    references = {
-        strategy: [_scalar_lane_reference(factory, frame, golden, strategy)
-                   for frame, golden in zip(frames, goldens)]
-        for strategy in (FIXPOINT, EVENT, COMPILED)
-    }
-    assert references[EVENT] == references[FIXPOINT] == references[COMPILED]
-
-    systems = [VideoSystem(factory(), frames=[frame]) for frame in frames]
-    batch = BatchedSimulator(systems)
-    recorders = [Recorder(batch.lane(i), systems[i].all_signals())
-                 for i in range(len(systems))]
-    conditions = [(lambda s=system, n=len(golden): s.sink.count >= n)
-                  for system, golden in zip(systems, goldens)]
-    done = batch.run_lockstep(conditions, max_cycles=50_000)
-
-    for lane, (system, golden) in enumerate(zip(systems, goldens)):
-        pixels, cycles, rows, memories = references[FIXPOINT][lane]
-        assert pixels == golden
-        assert system.received_pixels()[:len(golden)] == pixels
-        assert done[lane] == cycles
-        assert recorders[lane].rows[:len(rows)] == rows
-        assert [mem.dump() for mem in system.all_memories()] == memories
-
-
-@pytest.mark.parametrize("target", ["queue/sram", "vector/bram",
-                                    "read_buffer/linebuffer3"])
-def test_batched_verification_matrix_identical_to_scalar_sessions(target):
-    """A batched seed matrix must reproduce each seed's scalar session
-    exactly: coverage bins, transaction counts and violations per lane."""
-    import json
-
-    from repro.verify import verify, verify_matrix
-
-    seeds = [4, 5, 6]
-
-    def snapshot(result):
-        return (result.seed,
-                json.dumps(result.coverage.to_dict(), sort_keys=True),
-                result.transactions,
-                [str(v) for v in result.violations])
-
-    scalar = [snapshot(verify(target, seed=seed, cycles=700,
-                              strategy=FIXPOINT))
-              for seed in seeds]
-    batched = [snapshot(result)
-               for result in verify_matrix(target, seeds, cycles=700)]
-    assert batched == scalar

@@ -49,6 +49,8 @@ def test_config_rejects_bad_inputs():
         SearchConfig(targets=("queue/fifo",), budget=0)
     with pytest.raises(ValueError):
         SearchConfig(targets=("queue/fifo",), batch=0)
+    with pytest.raises(ValueError):
+        SearchConfig(targets=("queue/fifo",), strategy="compiled-batched")
 
 
 def test_config_to_dict_resolves_per_target_cycles():

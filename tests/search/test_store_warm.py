@@ -1,7 +1,7 @@
 """Store interplay: a warm re-search performs zero simulations.
 
 The evaluator's three-level lookup (memo -> :class:`ResultStore` ->
-lockstep matrix) shares the exact ``verify_key`` identity the verify CLI
+simulation) shares the exact ``verify_key`` identity the verify CLI
 and the sweep service use, so a second search over a warm store must
 replay every proposal — provable both with ``repro.rtl.instrument``
 simulation counters and the ``search_store_hits`` metric.
@@ -63,7 +63,7 @@ def test_evaluator_keys_match_the_verify_cli_identity(store):
     evaluator = SessionEvaluator(cycles=120, store=store)
     evaluator.evaluate("queue/fifo", [0])
     key = verify_key("queue/fifo", 0,
-                     resolved_cycles("queue/fifo", 120), "compiled-batched")
+                     resolved_cycles("queue/fifo", 120), "compiled")
     assert evaluator.key("queue/fifo", 0) == key
     record = store.get(key)
     assert record is not None and record["result"]["ok"]

@@ -52,11 +52,11 @@ def test_explore_store_mode_is_incremental_across_grids(tmp_path, capsys):
     assert "4 point(s) evaluated (2 from cache, 2 from store)" in out
 
 
-def test_explore_batched_strategy_shares_the_store_with_auto(tmp_path, capsys):
-    """compiled-batched is an execution detail: one store entry either way."""
+def test_explore_compiled_strategy_shares_the_store_with_auto(tmp_path, capsys):
+    """auto resolves to compiled before keying: one store entry either way."""
     store_dir = str(tmp_path / "store")
     assert explore_main(GRID + ["--store", store_dir,
-                                "--strategy", "compiled-batched"]) == 0
+                                "--strategy", "compiled"]) == 0
     capsys.readouterr()
     before = instrument.snapshot()
     assert explore_main(GRID + ["--store", store_dir,

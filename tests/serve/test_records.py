@@ -73,13 +73,13 @@ def test_every_config_axis_changes_the_key():
 def test_store_key_matches_the_runner_memo_normalisation():
     """CLI --store, the service and in-process sweeps share store entries."""
     runner = ExplorationRunner(strategy="auto")
-    batched = ExplorationRunner(strategy="compiled-batched")
+    compiled = ExplorationRunner(strategy="compiled")
     assert runner.cache_strategy() == "compiled"
-    assert batched.cache_strategy() == "compiled"
+    assert compiled.cache_strategy() == "compiled"
     key_auto = exploration_key(POINT, runner.cache_strategy(), False, 0, 1500)
-    key_batched = exploration_key(POINT, batched.cache_strategy(), False, 0,
-                                  1500)
-    assert key_auto == key_batched
+    key_compiled = exploration_key(POINT, compiled.cache_strategy(), False, 0,
+                                   1500)
+    assert key_auto == key_compiled
 
 
 def test_verify_keys_pin_the_resolved_cycle_budget():

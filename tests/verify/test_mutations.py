@@ -12,7 +12,6 @@ import functools
 import pytest
 
 from repro.verify import mutate, verify
-from repro.verify.session import verify_matrix
 
 #: mutation name -> (target exercising it, cycle budget)
 MUTATION_TARGETS = {
@@ -21,18 +20,7 @@ MUTATION_TARGETS = {
     "fifo.stale_dout": ("queue/fifo", 800),
     "lifo.reverse_order": ("stack/lifo", 800),
     "queue.ready_when_full": ("queue/fifo", 800),
-    "batched.cross_lane_mask_reuse": ("queue/fifo", 800),
-    "batched.stale_lane_commit": ("queue/fifo", 800),
 }
-
-#: The batched-emitter faults live in the *code generator*, not a
-#: primitive: they only manifest inside a multi-lane lockstep session
-#: (identical lanes would mask cross-lane leakage, and the stale-commit
-#: fault freezes exactly the last lane), so their smoke test drives a
-#: multi-seed matrix instead of a scalar session.
-BATCHED_MUTATIONS = {name for name in MUTATION_TARGETS
-                     if name.startswith("batched.")}
-BATCHED_SMOKE_SEEDS = [0, 1, 2, 3]
 
 
 def test_every_known_mutation_has_a_smoke_target():
@@ -42,17 +30,6 @@ def test_every_known_mutation_has_a_smoke_target():
 @pytest.mark.parametrize("name", sorted(MUTATION_TARGETS))
 def test_monitors_catch_seeded_protocol_bug(name):
     target, cycles = MUTATION_TARGETS[name]
-    if name in BATCHED_MUTATIONS:
-        with mutate.inject(name):
-            mutated = verify_matrix(target, BATCHED_SMOKE_SEEDS,
-                                    cycles=cycles)
-        assert any(not result.ok for result in mutated), \
-            f"mutation {name} went undetected on a " \
-            f"{len(BATCHED_SMOKE_SEEDS)}-lane {target} matrix"
-        clean = verify_matrix(target, BATCHED_SMOKE_SEEDS, cycles=cycles)
-        assert all(result.ok for result in clean), \
-            [str(v) for result in clean for v in result.violations[:5]]
-        return
     with mutate.inject(name):
         mutated = verify(target, seed=0, cycles=cycles)
     assert not mutated.ok, \
@@ -62,16 +39,6 @@ def test_monitors_catch_seeded_protocol_bug(name):
     # exits behaves correctly again under the identical stimulus.
     clean = verify(target, seed=0, cycles=cycles)
     assert clean.ok, [str(v) for v in clean.violations[:5]]
-
-
-def test_stale_lane_commit_freezes_exactly_the_last_lane():
-    """The seeded commit fault skips the last lane column: earlier lanes
-    must stay clean (their columns commit normally), pinning the fault's
-    blast radius and proving detection is not an artefact of lane 0."""
-    with mutate.inject("batched.stale_lane_commit"):
-        results = verify_matrix("queue/fifo", BATCHED_SMOKE_SEEDS,
-                                cycles=800)
-    assert [result.ok for result in results] == [True, True, True, False]
 
 
 #: Mutation escape: the exact monitor rules each fault trips when driven
@@ -96,21 +63,17 @@ SEARCH_BLAST_RADIUS = {
     "queue.ready_when_full": {
         "queue/fifo.conservation", "queue/fifo.data-mismatch",
         "queue/fifo.scoreboard"},
-    "batched.cross_lane_mask_reuse": {
-        "queue/fifo.data-mismatch", "queue/fifo.data-stability",
-        "queue/fifo.scoreboard"},
-    "batched.stale_lane_commit": {
-        "queue/fifo.conservation", "queue/fifo.scoreboard"},
 }
 
 
 @functools.lru_cache(maxsize=None)
-def search_proposed_seeds(target, cycles, count):
-    """Seeds a fault-free coverage search spends its budget on (cached:
-    one healthy search per (target, cycles, budget) for the module)."""
+def search_proposed_seed(target, cycles):
+    """The seed a fault-free one-session coverage search spends its budget
+    on (cached: one healthy search per (target, cycles) for the module)."""
     from repro.search import propose_seeds
 
-    return tuple(propose_seeds(target, count, cycles=cycles))
+    (seed,) = propose_seeds(target, 1, cycles=cycles)
+    return seed
 
 
 @pytest.mark.parametrize("name", sorted(SEARCH_BLAST_RADIUS))
@@ -118,24 +81,18 @@ def test_search_proposed_seeds_catch_every_seeded_fault(name):
     """No mutation escapes the search's seed budget.
 
     The coverage-directed search proposes its seeds against the *healthy*
-    design — faults must not get to vote.  Within the same session budget
-    the fixed matrix spends (one scalar session, or the 4-lane batched
-    matrix), those proposed seeds must still catch every seeded fault,
-    and trip exactly the pinned monitor rules."""
+    design — faults must not get to vote.  Within the one-session budget
+    the fixed smoke test spends, the proposed seed must still catch every
+    seeded fault, and trip exactly the pinned monitor rules."""
     target, cycles = MUTATION_TARGETS[name]
-    count = len(BATCHED_SMOKE_SEEDS) if name in BATCHED_MUTATIONS else 1
-    seeds = list(search_proposed_seeds(target, cycles, count))
-    assert len(seeds) == count
+    seed = search_proposed_seed(target, cycles)
     with mutate.inject(name):
-        results = verify_matrix(target, seeds, cycles=cycles)
-    assert any(not result.ok for result in results), \
-        f"mutation {name} escaped search-proposed seeds {seeds}"
-    rules = {violation.rule for result in results
-             for violation in result.violations}
-    assert rules == SEARCH_BLAST_RADIUS[name]
-    # And the same sessions are clean once the switch drops.
-    clean = verify_matrix(target, seeds, cycles=cycles)
-    assert all(result.ok for result in clean)
+        mutated = verify(target, seed=seed, cycles=cycles)
+    assert not mutated.ok, \
+        f"mutation {name} escaped search-proposed seed {seed}"
+    assert {v.rule for v in mutated.violations} == SEARCH_BLAST_RADIUS[name]
+    # And the same session is clean once the switch drops.
+    assert verify(target, seed=seed, cycles=cycles).ok
 
 
 def test_mutation_registry_rejects_unknown_names():
