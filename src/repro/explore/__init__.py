@@ -7,9 +7,9 @@ configuration parameters").  This subsystem industrialises that step: a grid
 of (design x container binding x pixel format x frame size x capacity)
 points is expanded, every point is simulated and characterised through the
 fastest settle backend (``strategy="auto"`` resolves to the compiled
-engine), results are memoized by design hash *and* strategy so repeated
-points are free, and a comparison report is emitted with the same table
-formatter the Table-3 reproduction uses.
+engine), results are memoized under their store keys (point × strategy ×
+verify config) so repeated points are free, and a comparison report is
+emitted with the same table formatter the Table-3 reproduction uses.
 
 Typical use::
 

@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="JSON grid spec file (CLI axis flags override it)")
     run.add_argument("--strategy", default=AUTO, choices=(AUTO, *STRATEGIES))
     run.add_argument("--processes", type=int, default=None, metavar="N",
-                     help="fan uncached points over a process pool")
+                     help="evaluate uncached points on a local JobManager "
+                          "pool of N worker processes")
     run.add_argument("--max-cycles", type=int, default=2_000_000)
     run.add_argument("--verify", action="store_true",
                      help="also run a constrained-random verification "

@@ -2,11 +2,13 @@
 
 :func:`evaluate_point` builds, simulates and characterises one
 :class:`~repro.explore.grid.DesignPoint`; :class:`ExplorationRunner` maps it
-over a whole grid, memoizing results by design hash (a repeated point is
-never re-simulated) and optionally fanning the uncached points out over a
-``multiprocessing`` pool.  Every result carries the measured streaming
-throughput, the estimated FPGA resources and a functional-verification
-verdict against the golden model, so a sweep doubles as a regression net.
+over a whole grid as a client of the job layer (:mod:`repro.serve.jobs`):
+results are memoized under their store keys (a repeated point is never
+re-simulated), probed in an optional persistent store, and the misses run
+in-process or on a ``JobManager`` worker pool.  Every result carries the
+measured streaming throughput, the estimated FPGA resources and a
+functional-verification verdict against the golden model, so a sweep
+doubles as a regression net.
 """
 
 from __future__ import annotations
@@ -178,7 +180,7 @@ def evaluate_point(point, strategy: str = AUTO,
     carries the session's functional-coverage percentage and violation
     count alongside the directed-test verdict.
 
-    A module-level function so a ``multiprocessing`` pool can pickle it.
+    Worker processes run it through :func:`repro.serve.jobs.evaluate_shard`.
     """
     strategy = resolve_strategy(strategy)
     with _obs_tracing.span("explore.point", strategy=strategy,
@@ -201,16 +203,25 @@ def evaluate_point(point, strategy: str = AUTO,
 class ExplorationRunner:
     """Run grids of design points with memoization and optional parallelism.
 
+    A thin client of the job layer (:mod:`repro.serve.jobs`): the
+    constructor's result-affecting arguments become one
+    :class:`~repro.serve.jobs.SweepConfig` (:attr:`config`), whose
+    :meth:`~repro.serve.jobs.SweepConfig.key_for` keys the in-process memo
+    and the persistent store alike, and
+    :func:`~repro.serve.jobs.diff_points` is the store probe.  So this
+    runner, ``python -m repro.explore --store``/``--server`` and the sweep
+    service all read and write one set of entries.
+
     Parameters
     ----------
     strategy:
         Settle strategy handed to every simulation.  The default ``"auto"``
         resolves to the fastest backend (currently ``"compiled"``).
     processes:
-        ``None`` (default) runs points serially in-process; an integer > 1
-        fans uncached points out over a ``multiprocessing.Pool`` of that
-        size.  Memoization works identically either way — results are cached
-        in the parent by design hash.
+        ``None`` (default) runs uncached points serially in-process; an
+        integer > 1 submits them to a
+        :class:`~repro.serve.jobs.JobManager` with that many worker
+        processes.  Memoization works identically either way.
     max_cycles:
         Per-point simulation budget.
     store:
@@ -219,36 +230,33 @@ class ExplorationRunner:
         opens one).  Points missing from the in-process memo are probed in
         the store before any simulator is built, and freshly simulated
         results are written back — so a warm re-sweep of an unchanged grid
-        performs **zero** simulations, across process restarts.  Point
-        types without a registered record family degrade gracefully to
-        in-process memoization only.
+        performs **zero** simulations, across process restarts.  Every point
+        family must be registered in :mod:`repro.serve.records`.
     """
 
     def __init__(self, strategy: str = AUTO, processes: Optional[int] = None,
                  max_cycles: int = 2_000_000, verify: bool = False,
                  verify_seed: int = 0, verify_cycles: int = 1500,
                  store=None) -> None:
+        from ..serve.jobs import SweepConfig
+        from ..serve.store import ResultStore
+
         if processes is not None and processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
-        resolve_strategy(strategy)  # validate eagerly
-        self.strategy = strategy
+        #: The sweep identity every result is keyed, stored and evaluated
+        #: under (``verify=True`` adds a constrained-random verification
+        #: session per point).
+        self.config = SweepConfig(strategy=strategy, max_cycles=max_cycles,
+                                  verify=verify, verify_seed=verify_seed,
+                                  verify_cycles=verify_cycles)
+        self.config.cache_strategy()  # validate the strategy eagerly
         self.processes = processes
-        self.max_cycles = max_cycles
-        #: When True, every evaluated point also runs a constrained-random
-        #: verification session and reports functional coverage.
-        self.verify = verify
-        self.verify_seed = verify_seed
-        self.verify_cycles = verify_cycles
         if store is not None and not hasattr(store, "get"):
-            # A path was handed in; open a store over it (lazy import so the
-            # serve package stays optional for plain in-process sweeps).
-            from ..serve.store import ResultStore
-
             store = ResultStore(store)
         #: Optional persistent result store probed before simulating and
         #: written after (see the ``store`` parameter).
         self.store = store
-        self._cache: Dict[Tuple, ExplorationResult] = {}
+        self._memo: Dict[str, ExplorationResult] = {}
         #: Number of points served from the memo across all ``run`` calls.
         self.cache_hits = 0
         #: Subset of ``cache_hits`` that was served from the persistent
@@ -257,100 +265,63 @@ class ExplorationRunner:
         #: Number of points actually simulated across all ``run`` calls.
         self.evaluations = 0
 
-    def _memo_key(self, point) -> Tuple:
-        """Memoization key: the design point *and* the resolved strategy.
-
-        Results from different settle strategies must never cross-contaminate
-        the cache — they are supposed to be identical, but the cache is one
-        of the places that claim gets checked, not assumed.  The
-        verification configuration is part of the key too: a result carrying
-        coverage must never be served for a ``verify=False`` sweep (or for a
-        different seed), and vice versa.
-        """
-        return (point.key(), self.cache_strategy(),
-                self.verify, self.verify_seed, self.verify_cycles)
-
-    def cache_strategy(self) -> str:
-        """The strategy as memo and store keys name it (``"auto"``
-        resolved), so ``auto`` and ``compiled`` share entries."""
-        return resolve_strategy(self.strategy)
-
-    def _store_get(self, point) -> Optional[ExplorationResult]:
-        """Probe the persistent store for a point; ``None`` on any miss."""
-        from ..serve import records
-
-        try:
-            key = records.exploration_key(
-                point, self.cache_strategy(), self.verify,
-                self.verify_seed, self.verify_cycles)
-        except records.UnstorablePointError:
-            return None
-        record = self.store.get(key)
-        if not records.record_matches(record, "exploration"):
-            return None
-        try:
-            return records.result_from_record(record)
-        except (KeyError, TypeError, ValueError):
-            return None  # malformed payload: treat as a miss, re-simulate
-
-    def _store_put(self, point, result: ExplorationResult) -> None:
-        from ..serve import records
-
-        try:
-            config = records.exploration_config(
-                self.cache_strategy(), self.verify, self.verify_seed,
-                self.verify_cycles)
-            key = records.exploration_key(
-                point, self.cache_strategy(), self.verify,
-                self.verify_seed, self.verify_cycles)
-        except records.UnstorablePointError:
-            return
-        self.store.put(key, records.result_to_record(result, key, config))
-
     def run(self, points: Sequence) -> List[ExplorationResult]:
         """Evaluate every point, returning results in the points' order.
 
-        Duplicate points (by design hash) and points seen in earlier ``run``
-        calls are served from the memo without re-simulation.
+        Duplicate points and points seen in earlier ``run`` calls are
+        served from the memo without re-simulation.  Raises
+        :class:`RuntimeError` when a point fails in the worker pool.
         """
-        cache = self._cache
-        todo = []
-        seen = set()
-        for point in points:
-            key = self._memo_key(point)
-            if key not in cache and key not in seen:
-                seen.add(key)
-                todo.append(point)
-        if self.store is not None and todo:
-            remaining = []
-            for point in todo:
-                result = self._store_get(point)
-                if result is None:
-                    remaining.append(point)
-                else:
-                    cache[self._memo_key(point)] = result
-                    self.store_hits += 1
-                    _REGISTRY.inc("explore_store_hits")
-            todo = remaining
-        self.cache_hits += len(points) - len(todo)
-        self.evaluations += len(todo)
-        _REGISTRY.inc("explore_cache_hits", len(points) - len(todo))
-        _REGISTRY.inc("explore_evaluations", len(todo))
-        if todo:
-            if self.processes is not None and self.processes > 1:
-                fresh = self._run_pool(todo)
-            else:
-                fresh = [evaluate_point(point, strategy=self.strategy,
-                                        max_cycles=self.max_cycles,
-                                        verify=self.verify,
-                                        verify_seed=self.verify_seed,
-                                        verify_cycles=self.verify_cycles)
-                         for point in todo]
-            for point, result in zip(todo, fresh):
-                cache[self._memo_key(point)] = result
+        from ..serve.jobs import diff_points
+        from ..serve.records import result_from_record, result_to_record
+
+        memo, config = self._memo, self.config
+        keys = [config.key_for(point) for point in points]
+        plan = diff_points([point for point, key in zip(points, keys)
+                            if key not in memo], self.store, config)
+        for key, record in plan.cached.items():
+            memo[key] = result_from_record(record)
+        served = len(points) - len(plan.todo)
+        self.cache_hits += served
+        self.store_hits += len(plan.cached)
+        self.evaluations += len(plan.todo)
+        _REGISTRY.inc("explore_cache_hits", served)
+        _REGISTRY.inc("explore_store_hits", len(plan.cached))
+        _REGISTRY.inc("explore_evaluations", len(plan.todo))
+        if plan.todo and self.processes is not None and self.processes > 1:
+            for record in self._run_jobs(plan.todo):
+                memo[record["key"]] = result_from_record(record)
+        elif plan.todo:
+            record_config = config.record_config()
+            for point, key in zip(plan.todo, plan.todo_keys):
+                result = evaluate_point(point, strategy=config.strategy,
+                                        max_cycles=config.max_cycles,
+                                        verify=config.verify,
+                                        verify_seed=config.verify_seed,
+                                        verify_cycles=config.verify_cycles)
+                memo[key] = result
                 if self.store is not None:
-                    self._store_put(point, result)
-        return [cache[self._memo_key(point)] for point in points]
+                    self.store.put(key, result_to_record(result, key,
+                                                         record_config))
+        return [memo[key] for key in keys]
+
+    def _run_jobs(self, points: Sequence) -> List[dict]:
+        """Evaluate ``points`` on a fresh ``JobManager`` pool (one point
+        per shard, so the workers share the grid work-stealing style);
+        the manager writes the records back to the store."""
+        from ..serve.jobs import JobManager
+
+        with JobManager(store=self.store, workers=self.processes,
+                        shard_size=1) as manager:
+            job = manager.submit(points, self.config)
+            job.wait()
+            outcome = job.ordered_records()
+        failures = outcome["failures"]
+        if failures:
+            raise RuntimeError(
+                f"{len(failures)} point(s) failed in the worker pool; "
+                f"first failure:\n{failures[0]['error']}")
+        return outcome["records"]
 
     def run_search(self, budget: int, seed: int = 0,
                    designs: Sequence[str] = ("saa2vga", "blur"),
@@ -378,12 +349,3 @@ class ExplorationRunner:
                              pixel_formats=pixel_formats,
                              frame_sizes=frame_sizes, capacities=capacities,
                              epsilon=epsilon)
-
-    def _run_pool(self, points: Sequence) -> List[ExplorationResult]:
-        import multiprocessing
-
-        with multiprocessing.Pool(self.processes) as pool:
-            return pool.starmap(
-                evaluate_point,
-                [(point, self.strategy, self.max_cycles, self.verify,
-                  self.verify_seed, self.verify_cycles) for point in points])

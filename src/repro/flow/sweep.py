@@ -7,8 +7,9 @@ and shared-bus width — and plugs into the *existing*
 calls ``point.build()`` / ``point.golden(frame)`` when a point provides
 them, and the point exposes the report-facing attributes
 (``design``/``binding``/``pixel_format``/``capacity``) so sweep tables,
-memoization and multiprocessing all work exactly as for the built-in
-design families.
+memoization, the store (its record family is registered in
+:mod:`repro.serve.records`) and the worker pool all work exactly as for
+the built-in design families.
 
 This module deliberately avoids importing :mod:`repro.explore` at load
 time (the explore package re-exports these names, which would cycle);

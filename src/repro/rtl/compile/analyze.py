@@ -832,9 +832,7 @@ def analyze_proc(proc: Callable[[], None]) -> ProcAnalysis:
     """Analyse one combinational process.
 
     Returns a :class:`ProcAnalysis` whose ``reads``/``writes`` over-approximate
-    every branch of the process.  A declared sensitivity list
-    (``Component.comb(..., sensitivity=...)``) is honoured as additional
-    reads, mirroring the event-driven scheduler's trust in declared lists.
+    every branch of the process.
     """
     analysis = ProcAnalysis(proc=proc)
     parsed = _parse_proc(proc)
@@ -875,17 +873,8 @@ def analyze_proc(proc: Callable[[], None]) -> ProcAnalysis:
         units.append(unit)
         if not walker.stmt_transpilable:
             splittable = False
-    declared = getattr(proc, "sensitivity", None)
-    if declared is not None:
-        for obj in declared:
-            if isinstance(obj, Signal):
-                analysis.reads.add(obj)
-            elif isinstance(obj, Memory):
-                analysis.mem_reads.add(obj)
     analysis.local_names = set(walker.locals)
-    # A declared sensitivity list applies to the whole process, so such a
-    # process is kept as a single call unit rather than split.
-    if splittable and not analysis.opaque and units and declared is None:
+    if splittable and not analysis.opaque and units:
         analysis.units = units
     return analysis
 

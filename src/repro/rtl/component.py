@@ -216,32 +216,12 @@ class Component:
 
     # -- processes ----------------------------------------------------------------
 
-    def comb(self, func: Optional[Process] = None, *,
-             sensitivity: Optional[list] = None) -> Process:
+    def comb(self, func: Process) -> Process:
         """Register (or decorate) a combinational process.
 
-        ``sensitivity`` optionally declares the process's input set (signals
-        and/or memories) up front, like a VHDL sensitivity list.  The
-        event-driven scheduler then wakes the process on exactly those
-        objects and skips read-tracing it; the declared set must therefore
-        cover **everything** the process ever reads — an omission means
-        missed wake-ups.  Without it (the common case) the scheduler infers
-        the set automatically by tracing reads on every evaluation.
-
-        Both decorator forms work::
-
-            @self.comb
-            def wires(): ...
-
-            @self.comb(sensitivity=[self.a, self.b])
-            def wires(): ...
+        The event-driven scheduler infers the process's input set by
+        tracing its reads on every evaluation, so nothing is declared.
         """
-        if func is None:
-            def wrap(inner: Process) -> Process:
-                return self.comb(inner, sensitivity=sensitivity)
-            return wrap
-        if sensitivity is not None:
-            func.sensitivity = tuple(sensitivity)
         self._comb_procs.append(func)
         return func
 

@@ -151,19 +151,6 @@ class Simulator:
             self._fanout: Dict[object, Set[Callable]] = {}
             self._written: List[Signal] = []
             self._pending: Set[Callable] = set(self._comb)
-            # Processes with a declared sensitivity list (``Component.comb``'s
-            # ``sensitivity=`` argument) get static fanout entries and are
-            # evaluated without read-tracing.
-            self._static_procs: Set[Callable] = set()
-            for proc in self._comb:
-                declared = getattr(proc, "sensitivity", None)
-                if declared is not None:
-                    self._static_procs.add(proc)
-                    for obj in declared:
-                        procs = self._fanout.get(obj)
-                        if procs is None:
-                            self._fanout[obj] = procs = set()
-                        procs.add(proc)
             self._invalidate_previous()
             for sig in self._signals:
                 sig._sched = self
@@ -399,7 +386,6 @@ class Simulator:
         pending = self._pending
         order = self._proc_index
         evaluate = self._evaluate_traced
-        static = self._static_procs
         # Commit test-bench ``sig.next`` pokes made since the last settle so
         # they wake their fanout, mirroring the fixpoint strategy's
         # commit-after-first-iteration behaviour.
@@ -412,10 +398,7 @@ class Simulator:
             wave = sorted(pending, key=order.__getitem__)
             pending.clear()
             for proc in wave:
-                if proc in static:
-                    proc()
-                else:
-                    evaluate(proc)
+                evaluate(proc)
             self._flush_written()
         return iteration
 

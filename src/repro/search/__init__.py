@@ -14,8 +14,9 @@ Layers:
   selection (targets, proposal operators).
 * :mod:`~repro.search.propose` — scan/mutate/crossover proposers for
   stimulus seeds and design axes.
-* :mod:`~repro.search.state` — persistent CoverageDB fitness state and
-  the memoized, store-backed session evaluator.
+* :mod:`~repro.search.state` — persistent CoverageDB fitness state (it
+  also re-exports the verify layer's memoized, store-backed
+  :class:`~repro.verify.session.SessionEvaluator`).
 * :mod:`~repro.search.driver` — the search loop, the grid baseline it is
   gated against, and the Pareto design-axes search.
 

@@ -11,8 +11,9 @@ driver *allocates* the simulation budget one proposal at a time —
    next stimulus seeds (scan / mutate / crossover, themselves under an
    operator bandit);
 3. the proposals run through the memoized, store-backed
-   :class:`~repro.search.state.SessionEvaluator` (one scalar verify
-   session per fresh seed);
+   :class:`~repro.verify.session.SessionEvaluator` (one scalar verify
+   session per fresh seed), the same path ``python -m repro.verify``
+   takes;
 4. each session's covergroup merges into the persistent
    :class:`~repro.verify.coverage.CoverageDB` fitness state, and the
    *marginal* goals it closed (:meth:`CoverageDB.add_delta`) are the
@@ -47,10 +48,10 @@ from ..obs.metrics import REGISTRY as _REGISTRY
 from ..rtl import COMPILED, STRATEGIES
 from ..verify.coverage import CoverageDB
 from ..verify.rng import RngPool
-from ..verify.session import TARGETS
+from ..verify.session import TARGETS, SessionEvaluator, resolved_cycles
 from .bandit import EpsilonGreedy
 from .propose import DesignProposer, SeedProposer
-from .state import SearchState, SessionEvaluator, resolved_cycles
+from .state import SearchState
 
 #: Artifact format tags (sorted-key JSON, no timestamps: byte-identical
 #: across runs is a tested property, not an aspiration).

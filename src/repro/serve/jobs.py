@@ -47,6 +47,7 @@ from .records import (
     exploration_key,
     point_from_dict,
     point_to_dict,
+    record_matches,
     result_to_record,
 )
 from .store import ResultStore
@@ -65,11 +66,11 @@ _TERMINAL = (DONE, FAILED)
 class SweepConfig:
     """Everything a worker needs to evaluate a point identically anywhere.
 
-    Mirrors the :class:`~repro.explore.runner.ExplorationRunner`
-    constructor arguments that affect results; :meth:`cache_strategy`
-    resolves ``"auto"`` exactly as the runner's memo key does, so the
-    service, the CLI ``--store`` mode and plain in-process sweeps all hit
-    the same store entries.
+    The one result identity of exploration sweeps: an
+    :class:`~repro.explore.runner.ExplorationRunner` builds one from its
+    constructor arguments, and :meth:`key_for` (with ``"auto"`` resolved
+    by :meth:`cache_strategy`) keys the runner's memo, the CLI ``--store``
+    mode and the service alike, so they all hit the same store entries.
     """
 
     strategy: str = "auto"
@@ -136,7 +137,8 @@ def diff_points(points: Sequence, store: Optional[ResultStore],
     """Split a grid into cache-served and must-simulate point sets.
 
     Duplicate points collapse onto one key.  With ``store=None`` every
-    unique point lands in ``todo`` (a pure sharding plan).
+    unique point lands in ``todo`` (a pure sharding plan).  A stored
+    record of another kind counts as absent.
     """
     plan = SweepPlan(keys=[], cached={})
     seen = set()
@@ -147,7 +149,7 @@ def diff_points(points: Sequence, store: Optional[ResultStore],
             continue
         seen.add(key)
         record = store.get(key) if store is not None else None
-        if record is not None:
+        if record_matches(record, "exploration"):
             plan.cached[key] = record
         else:
             plan.todo.append(point)

@@ -7,9 +7,9 @@ owns both directions:
 * **identity → key**: a record's store key is the SHA-256 hex digest of a
   canonical JSON payload naming exactly what the cached computation
   depended on — the point's structural configuration, the resolved settle
-  strategy and the verification configuration.  This is the explorer's
-  in-process memo key (:meth:`ExplorationRunner._memo_key`) made
-  content-addressed: same inputs, same key, on any machine.
+  strategy and the verification configuration.  Same inputs, same key, on
+  any machine; the explorer's in-process memo uses the same keys
+  (:meth:`repro.serve.jobs.SweepConfig.key_for`).
 * **object ↔ record**: design/pipeline points and
   :class:`~repro.explore.runner.ExplorationResult`\\ s round-trip through
   dicts, so worker processes, the HTTP service and the store all speak one
@@ -18,9 +18,9 @@ owns both directions:
   --store`` incremental.
 
 Only point families this module knows how to *rebuild* are storable; a
-duck-typed user point without a registered family raises
-:class:`UnstorablePointError` and the callers degrade gracefully to
-in-process memoization.
+point without a registered family raises :class:`UnstorablePointError`.
+A new point family registers in :func:`point_to_dict` and
+:func:`point_from_dict`, as :class:`~repro.flow.sweep.PipelinePoint` does.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def point_to_dict(point) -> Dict[str, object]:
         return {"family": "pipeline", **asdict(point)}
     raise UnstorablePointError(
         f"point type {type(point).__name__} has no registered record "
-        f"family; results for it stay in-process only")
+        f"family (see repro.serve.records)")
 
 
 def point_from_dict(data: Dict[str, object]):
@@ -89,10 +89,8 @@ def exploration_config(cache_strategy: str, verify: bool, verify_seed: int,
     """Canonical config block entering exploration keys and records.
 
     ``cache_strategy`` must already be resolved (``"auto"`` mapped to the
-    backend it runs); the explore runner's
-    :meth:`~repro.explore.runner.ExplorationRunner.cache_strategy` defines
-    that resolution and :func:`repro.serve.jobs.SweepConfig` applies it for
-    the job layer.
+    backend it runs), as :meth:`repro.serve.jobs.SweepConfig.cache_strategy`
+    does.
     """
     return {
         "strategy": str(cache_strategy),

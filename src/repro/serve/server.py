@@ -287,6 +287,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Connection", "close")
         self.end_headers()
         while True:
+            # Read the terminal flag first: the "completed" event is logged
+            # under the same lock as the state change, so it is then in
+            # this batch rather than lost between the read and the check.
+            done = job.done
             events = job.events_since(index)
             for event in events:
                 self.wfile.write(
@@ -294,7 +298,7 @@ class _Handler(BaseHTTPRequestHandler):
             index += len(events)
             if events:
                 self.wfile.flush()
-            if not follow or job.done:
+            if not follow or done:
                 return
             job.wait(timeout=self.server.owner.stream_poll)
 

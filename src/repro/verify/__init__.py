@@ -68,7 +68,7 @@ from .stimulus import (
 
 #: Names resolved lazily from :mod:`repro.verify.session` (which imports
 #: the container/design layers and must not load during package import).
-_SESSION_EXPORTS = ("verify", "verify_all", "verify_matrix", "verify_gains",
+_SESSION_EXPORTS = ("verify", "verify_all", "verify_matrix",
                     "VerifyResult", "TargetSpec", "TARGETS",
                     "container_targets", "design_targets", "metagen_targets")
 

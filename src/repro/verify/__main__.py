@@ -13,10 +13,10 @@ import argparse
 import sys
 
 from ..obs import profile as _obs_profile
-from ..rtl import EVENT, STRATEGIES
+from ..rtl import COMPILED, STRATEGIES
 from .coverage import CoverageDB
 from .rng import SEED_ENV, default_seed
-from .session import TARGETS, verify_matrix
+from .session import TARGETS, SessionEvaluator, repro_command
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,13 +35,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--list", action="store_true",
                         help="list registered targets and exit")
     # The default honours $REPRO_SEED so the printed reproduction commands
-    # (VerifyResult.repro_command) replay the failing seed, not seed 0.
+    # (session.repro_command) replay the failing seed, not seed 0.
     parser.add_argument("--seeds", type=int, nargs="+",
                         default=[default_seed()],
                         help=f"root seeds to run (default: ${SEED_ENV} or 0)")
     parser.add_argument("--cycles", type=int, default=None,
                         help="cycle budget override (default: per-target)")
-    parser.add_argument("--strategy", default=EVENT, choices=STRATEGIES)
+    parser.add_argument("--strategy", default=COMPILED, choices=STRATEGIES)
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the merged coverage database here")
     parser.add_argument("--min-coverage", type=float, default=None, metavar="PCT",
@@ -81,55 +81,24 @@ def _run(args) -> int:
         print(f"unknown target(s): {unknown}; see --list", file=sys.stderr)
         return 2
 
-    store = None
-    if args.store is not None:
-        from ..serve.store import ResultStore
+    from ..serve.records import verify_summary_line
 
-        store = ResultStore(args.store)
-
+    evaluator = SessionEvaluator(cycles=args.cycles, strategy=args.strategy,
+                                 store=args.store)
     db = CoverageDB()
     failures = []
     for name in names:
-        # The store key needs the *resolved* cycle budget — "--cycles 1500"
-        # and the bare default must land on one key.
-        cycles = (args.cycles if args.cycles is not None
-                  else TARGETS[name].default_cycles)
-        cached = {}
-        if store is not None:
-            from ..serve.records import record_matches, verify_key
-
-            for seed in args.seeds:
-                record = store.get(
-                    verify_key(name, seed, cycles, args.strategy))
-                if record_matches(record, "verify"):
-                    cached[seed] = record
-        fresh_seeds = [seed for seed in args.seeds if seed not in cached]
-        results = verify_matrix(name, fresh_seeds, cycles=args.cycles,
-                                strategy=args.strategy)
-        by_seed = {result.seed: result for result in results}
-        for seed in args.seeds:
-            if seed in cached:
-                from ..serve.records import verify_summary_line
-
-                record = cached[seed]
-                db.add(record["result"]["coverage_group"])
-                print(verify_summary_line(record))
-                continue
-            result = by_seed[seed]
-            db.add(result.coverage)
-            print(result.summary())
-            if not result.ok:
-                failures.append(result)
-                for violation in result.violations[:5]:
+        for seed, record, source in evaluator.evaluate(name, args.seeds):
+            payload = record["result"]
+            db.add(payload["coverage_group"])
+            print(verify_summary_line(
+                record, suffix="  [store]" if source == "store" else ""))
+            if not payload["ok"]:
+                failures.append(seed)
+                for violation in payload["violations"][:5]:
                     print(f"    {violation}")
-                print(f"    reproduce with: {result.repro_command()}")
-            elif store is not None:
-                # Only clean sessions are persisted: a failing session must
-                # always re-run and reprint its reproduction command.
-                from ..serve.records import verify_key, verify_record
-
-                key = verify_key(name, seed, cycles, args.strategy)
-                store.put(key, verify_record(result, key))
+                print(f"    reproduce with: "
+                      f"{repro_command(**record['config'])}")
 
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -139,7 +108,7 @@ def _run(args) -> int:
     status = 0
     if failures:
         print(f"\nFAILED: {len(failures)} session(s) flagged violations; "
-              f"failing seeds: {sorted({r.seed for r in failures})}")
+              f"failing seeds: {sorted(set(failures))}")
         status = 1
     if args.min_coverage is not None:
         low = [name for name in names

@@ -24,9 +24,10 @@ cycle for cycle, under any strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..rtl import COMPILED, EVENT, Component, Simulator
+from ..obs.metrics import REGISTRY as _REGISTRY
+from ..rtl import COMPILED, Component, Simulator
 from .coverage import CoverageDB, CoverGroup
 from .monitor import (
     ArbiterMonitor,
@@ -86,6 +87,18 @@ class TargetSpec:
     build: Callable[[RngPool], _Bench]
 
 
+def repro_command(target: str, seed: int, cycles: int, strategy: str) -> str:
+    """Shell command reproducing one session (live or stored).
+
+    The seed is passed both ways on purpose: ``--seeds`` pins the CLI
+    session, and the ``REPRO_SEED`` export covers everything else the run
+    may touch (benchmark frames, testing helpers).
+    """
+    return (f"{SEED_ENV}={seed} PYTHONPATH=src python -m repro.verify "
+            f"'{target}' --seeds {seed} --cycles {cycles} "
+            f"--strategy {strategy}")
+
+
 @dataclass
 class VerifyResult:
     """Outcome of one verification session."""
@@ -107,15 +120,9 @@ class VerifyResult:
         return self.coverage.percent
 
     def repro_command(self) -> str:
-        """Shell command reproducing this exact session.
-
-        The seed is passed both ways on purpose: ``--seeds`` pins the CLI
-        session, and the ``REPRO_SEED`` export covers everything else the
-        run may touch (benchmark frames, testing helpers).
-        """
-        return (f"{SEED_ENV}={self.seed} PYTHONPATH=src python -m repro.verify "
-                f"'{self.target}' --seeds {self.seed} "
-                f"--cycles {self.cycles} --strategy {self.strategy}")
+        """Shell command reproducing this exact session."""
+        return repro_command(self.target, self.seed, self.cycles,
+                             self.strategy)
 
     def summary(self) -> str:
         status = "ok" if self.ok else f"{len(self.violations)} VIOLATION(S)"
@@ -647,7 +654,7 @@ def _resolve_bench(target: Union[str, Component], pool: RngPool,
 
 
 def verify(target: Union[str, Component], seed: int = 0,
-           cycles: Optional[int] = None, strategy: str = EVENT,
+           cycles: Optional[int] = None, strategy: str = COMPILED,
            strict: bool = False) -> VerifyResult:
     """Run one constrained-random verification session.
 
@@ -665,8 +672,8 @@ def verify(target: Union[str, Component], seed: int = 0,
         Simulated cycle budget (default: the target's registered budget,
         or 1500 for ad-hoc components).
     strategy:
-        Settle strategy — sessions behave identically under ``event``,
-        ``fixpoint`` and ``compiled``.
+        Settle strategy — sessions behave identically under ``compiled``
+        (the default), ``event`` and ``fixpoint``.
     strict:
         Raise :class:`VerificationError` on the first violation instead of
         collecting all of them.
@@ -685,28 +692,108 @@ def verify_matrix(target: Union[str, Component], seeds: Sequence[int],
                    strict=strict) for seed in seeds]
 
 
-def verify_gains(target: Union[str, Component], seeds: Sequence[int],
-                 db: CoverageDB, cycles: Optional[int] = None,
-                 strategy: str = COMPILED,
-                 strict: bool = False) -> tuple:
-    """Run a seed matrix and fold its coverage into ``db``, seed by seed.
+def resolved_cycles(target: str, cycles: Optional[int]) -> int:
+    """The cycle budget a session actually runs (store keys need this)."""
+    if cycles is not None:
+        return int(cycles)
+    return TARGETS[target].default_cycles
 
-    Returns ``(results, gains)`` where ``gains[i]`` is the sorted list of
-    goal names seed ``seeds[i]`` *newly* closed in ``db``
-    (:meth:`CoverageDB.add_delta`).  Merge order is seed order, so when two
-    seeds both hit a previously-open goal the earlier one takes the credit
-    — exactly the marginal-closure reward the coverage-directed search
-    driver (:mod:`repro.search`) optimises.
+
+class SessionEvaluator:
+    """Memoized, store-backed evaluation of (target, seed) sessions.
+
+    The one evaluation path of verification sessions: ``python -m
+    repro.verify`` and the coverage search (:mod:`repro.search`) both run
+    their sessions through it.  Every (target, seed) goes through a
+    three-level lookup:
+
+    1. the in-process memo (repeat proposals inside one search are free),
+    2. the optional persistent :class:`~repro.serve.store.ResultStore`,
+       under the :func:`~repro.serve.records.verify_key` identity of
+       :meth:`key` — a warm store replays every session with zero
+       simulations,
+    3. one scalar :func:`verify` session per seed still uncached.
+
+    Clean sessions are written back; failing sessions are never persisted,
+    so they always re-run and print their reproduction command.
     """
-    results = verify_matrix(target, seeds, cycles=cycles, strategy=strategy,
-                            strict=strict)
-    gains = [db.add_delta(result.coverage) for result in results]
-    return results, gains
+
+    def __init__(self, cycles: Optional[int] = None,
+                 strategy: str = COMPILED, store=None,
+                 strict: bool = False) -> None:
+        self.cycles = cycles
+        self.strategy = strategy
+        if store is not None and not hasattr(store, "get"):
+            from ..serve.store import ResultStore
+
+            store = ResultStore(store)
+        self.store = store
+        self.strict = strict
+        self._memo: Dict[str, dict] = {}
+        #: Sessions served from the in-process memo.
+        self.memo_hits = 0
+        #: Sessions served from the persistent store.
+        self.store_hits = 0
+        #: Sessions that actually built a simulator.
+        self.simulated = 0
+
+    def key(self, target: str, seed: int) -> str:
+        from ..serve.records import verify_key
+
+        return verify_key(target, seed, resolved_cycles(target, self.cycles),
+                          self.strategy)
+
+    def evaluate(self, target: str, seeds: List[int]
+                 ) -> List[Tuple[int, dict, str]]:
+        """Verify-session records for ``seeds``, cheapest source first.
+
+        Returns ``[(seed, record, source), ...]`` in the input seed order,
+        where ``source`` is ``"memo"``, ``"store"`` or ``"sim"`` and
+        ``record`` is the :func:`~repro.serve.records.verify_record` dict
+        (its ``result.coverage_group`` merges straight into a
+        :class:`~repro.verify.coverage.CoverageDB`).  Uncached seeds run
+        one session each; only clean fresh sessions are persisted.
+        """
+        from ..serve.records import record_matches, verify_record
+
+        out: Dict[int, Tuple[dict, str]] = {}
+        fresh: List[int] = []
+        for seed in seeds:
+            key = self.key(target, seed)
+            record = self._memo.get(key)
+            if record is not None:
+                self.memo_hits += 1
+                _REGISTRY.inc("search_memo_hits")
+                out[seed] = (record, "memo")
+                continue
+            if self.store is not None:
+                record = self.store.get(key)
+                if record_matches(record, "verify"):
+                    self._memo[key] = record
+                    self.store_hits += 1
+                    _REGISTRY.inc("search_store_hits")
+                    out[seed] = (record, "store")
+                    continue
+            fresh.append(seed)
+        if fresh:
+            results = verify_matrix(target, fresh, cycles=self.cycles,
+                                    strategy=self.strategy,
+                                    strict=self.strict)
+            self.simulated += len(fresh)
+            _REGISTRY.inc("search_simulated", len(fresh))
+            for result in results:
+                key = self.key(target, result.seed)
+                record = verify_record(result, key)
+                self._memo[key] = record
+                if self.store is not None and result.ok:
+                    self.store.put(key, record)
+                out[result.seed] = (record, "sim")
+        return [(seed, out[seed][0], out[seed][1]) for seed in seeds]
 
 
 def verify_all(targets: Optional[Sequence[str]] = None,
                seeds: Sequence[int] = (0,), cycles: Optional[int] = None,
-               strategy: str = EVENT) -> tuple:
+               strategy: str = COMPILED) -> tuple:
     """Run a seed matrix over many targets; returns (results, merged DB)."""
     names = list(targets) if targets else list(TARGETS)
     results: List[VerifyResult] = []

@@ -1,6 +1,8 @@
 """Tests for the batched design-space runner: grid expansion, memoization,
 strategy selection and deterministic reporting."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.explore import (
@@ -15,7 +17,7 @@ from repro.explore import (
     resolve_strategy,
     results_table,
 )
-from repro.rtl import COMPILED, EVENT, FIXPOINT
+from repro.rtl import COMPILED, EVENT, FIXPOINT, instrument
 
 SMALL_GRID = dict(designs=("saa2vga",), pixel_formats=("gray8",),
                   frame_sizes=((8, 4),), capacities=(8, 16))
@@ -160,6 +162,32 @@ def test_runner_rejects_bad_processes():
         ExplorationRunner(processes=0)
 
 
+def test_process_pool_matches_in_process_and_shares_the_store(tmp_path):
+    """``processes=2`` farms misses to a JobManager pool: same results as
+    an in-process run, written to the same store entries."""
+    points = expand_grid(**SMALL_GRID)
+    store = str(tmp_path / "store")
+    before = instrument.snapshot()
+    pooled = ExplorationRunner(processes=2, store=store).run(points)
+    # Worker counters fold back over the pipe: the pool really simulated.
+    assert instrument.simulations_since(before) == len(points)
+    local = ExplorationRunner().run(points)
+    assert [asdict(res) for res in pooled] == [asdict(res) for res in local]
+
+    warm = ExplorationRunner(processes=2, store=store)
+    before = instrument.snapshot()
+    assert warm.run(points) == local
+    assert instrument.simulations_since(before) == 0
+    assert warm.store_hits == len(points) and warm.evaluations == 0
+
+
+def test_process_pool_raises_when_a_point_fails():
+    good = expand_grid(**SMALL_GRID)[0]
+    bad = DesignPoint("nosuch", "fifo", "gray8", 8, 4, 8)
+    with pytest.raises(RuntimeError, match="unknown design 'nosuch'"):
+        ExplorationRunner(processes=2).run([good, bad])
+
+
 # -- strategy selection ----------------------------------------------------------
 
 
@@ -183,40 +211,45 @@ def test_runner_default_strategy_is_auto_and_agrees_with_event():
         assert auto_res.throughput == event_res.throughput
 
 
-def test_memo_keys_include_strategy():
-    """Switching strategy on a live runner must re-simulate, not reuse the
-    other strategy's cached results."""
+def test_memo_keys_include_strategy(tmp_path):
+    """Results of one strategy are never served to another: an event and a
+    compiled runner over one store each simulate, and a second event
+    runner is served the event entries."""
     points = expand_grid(**SMALL_GRID)
-    runner = ExplorationRunner(strategy=EVENT)
-    event_results = runner.run(points)
-    assert runner.evaluations == len(points)
+    store = str(tmp_path / "store")
+    event = ExplorationRunner(strategy=EVENT, store=store)
+    event_results = event.run(points)
+    assert event.evaluations == len(points)
 
-    runner.strategy = COMPILED
-    compiled_results = runner.run(points)
-    assert runner.evaluations == 2 * len(points), \
-        "compiled results must not be served from the event cache"
-    assert runner.cache_hits == 0
+    compiled = ExplorationRunner(strategy=COMPILED, store=store)
+    compiled_results = compiled.run(points)
+    assert compiled.evaluations == len(points), \
+        "compiled results must not be served from the event entries"
+    assert compiled.store_hits == 0
+    assert [event.config.key_for(p) for p in points] != \
+        [compiled.config.key_for(p) for p in points]
     # Results agree (the strategies are equivalent), but are distinct objects
     # because each was simulated under its own strategy.
     for ev, cp in zip(event_results, compiled_results):
         assert ev is not cp
         assert ev.cycles == cp.cycles
 
-    # Flipping back serves the original event results from the memo.
-    runner.strategy = EVENT
-    again = runner.run(points)
-    assert runner.cache_hits == len(points)
-    assert [id(res) for res in again] == [id(res) for res in event_results]
+    # Back to event: the original event results are served from the store.
+    again = ExplorationRunner(strategy=EVENT, store=store)
+    assert again.run(points) == event_results
+    assert again.store_hits == len(points) and again.evaluations == 0
 
 
-def test_memo_treats_auto_and_compiled_as_the_same_key():
+def test_memo_treats_auto_and_compiled_as_the_same_key(tmp_path):
     points = expand_grid(**SMALL_GRID)
-    runner = ExplorationRunner(strategy=AUTO)
-    runner.run(points)
-    runner.strategy = COMPILED
-    runner.run(points)
-    assert runner.evaluations == len(points)
-    assert runner.cache_hits == len(points)
+    auto = ExplorationRunner(strategy=AUTO, store=str(tmp_path / "store"))
+    compiled = ExplorationRunner(strategy=COMPILED, store=auto.store)
+    assert [auto.config.key_for(p) for p in points] == \
+        [compiled.config.key_for(p) for p in points]
+    auto.run(points)
+    compiled.run(points)
+    assert compiled.evaluations == 0
+    assert compiled.cache_hits == compiled.store_hits == len(points)
 
 
 def test_batched_strategy_resolution_and_validation():

@@ -407,30 +407,6 @@ def test_compiled_force_wakes_the_schedule():
     assert top.out.value == top.y.value
 
 
-def test_compiled_declared_sensitivity_is_respected():
-    class Declared(Component):
-        def __init__(self):
-            super().__init__("declared")
-            self.a = self.state(8)
-            self.b = self.signal(8)
-
-            @self.comb(sensitivity=[self.a])
-            def mirror():
-                self.b.next = self.a.value
-
-            @self.seq
-            def advance():
-                self.a.next = self.a.value + 1
-
-    results = []
-    for strategy in (FIXPOINT, COMPILED):
-        top = Declared()
-        sim = Simulator(top, strategy=strategy)
-        sim.step(5)
-        results.append((top.a.value, top.b.value))
-    assert results[0] == results[1]
-
-
 def test_compile_design_report_counts():
     top = _Chained()
     program = compile_design(top.all_comb_procs(), top.all_seq_procs())

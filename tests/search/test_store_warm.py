@@ -47,6 +47,25 @@ def test_warm_store_research_performs_zero_simulations(store):
     assert set(sources) == {"store"}
 
 
+def test_default_verify_cli_store_warms_a_default_search(
+        tmp_path, monkeypatch, capsys):
+    """The verify CLI and the search default to one strategy, so a session
+    the CLI stores with default flags replays in a default search."""
+    from repro.verify.__main__ import main as verify_main
+
+    monkeypatch.delenv("REPRO_SEED", raising=False)
+    store_dir = str(tmp_path / "store")
+    assert verify_main(["queue/fifo", "--store", store_dir]) == 0
+    capsys.readouterr()
+
+    before = instrument.snapshot()
+    report = CoverageSearch(SearchConfig(targets=("queue/fifo",)),
+                            store=store_dir).run()
+    assert instrument.simulations_since(before) == 0
+    assert report.simulated == 0 and report.store_hits == report.sessions
+    assert report.closed
+
+
 def test_repeat_proposals_within_one_search_hit_the_memo():
     evaluator = SessionEvaluator(cycles=120)
     first = evaluator.evaluate("queue/fifo", [0, 1])

@@ -72,6 +72,11 @@ def test_diff_points_schedules_only_missing_keys(tmp_path):
     assert list(plan.cached) == [key]
     assert plan.todo == [points[1]]
 
+    # A record of another kind under the other point's key counts as absent.
+    other = config.key_for(points[1])
+    store.put(other, {**record, "key": other, "kind": "verify"})
+    assert diff_points(points, store, config).todo == [points[1]]
+
 
 def test_evaluate_shard_matches_the_in_process_runner():
     points = make_points()

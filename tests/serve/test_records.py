@@ -4,6 +4,7 @@ import pytest
 
 from repro.explore import DesignPoint, ExplorationRunner, evaluate_point
 from repro.flow.sweep import PipelinePoint
+from repro.serve.jobs import SweepConfig
 from repro.serve.records import (
     UnstorablePointError,
     exploration_key,
@@ -72,14 +73,10 @@ def test_every_config_axis_changes_the_key():
 
 def test_store_key_matches_the_runner_memo_normalisation():
     """CLI --store, the service and in-process sweeps share store entries."""
-    runner = ExplorationRunner(strategy="auto")
-    compiled = ExplorationRunner(strategy="compiled")
-    assert runner.cache_strategy() == "compiled"
-    assert compiled.cache_strategy() == "compiled"
-    key_auto = exploration_key(POINT, runner.cache_strategy(), False, 0, 1500)
-    key_compiled = exploration_key(POINT, compiled.cache_strategy(), False, 0,
-                                   1500)
-    assert key_auto == key_compiled
+    key = exploration_key(POINT, "compiled", False, 0, 1500)
+    assert ExplorationRunner(strategy="auto").config.key_for(POINT) == key
+    assert ExplorationRunner(strategy="compiled").config.key_for(POINT) == key
+    assert SweepConfig().key_for(POINT) == key
 
 
 def test_verify_keys_pin_the_resolved_cycle_budget():

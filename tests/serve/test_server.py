@@ -75,6 +75,31 @@ def test_event_stream_is_ndjson_and_follow_blocks_until_done(server):
     assert [e["event"] for e in client.events(job_id, since=2)] == names[2:]
 
 
+def test_follow_stream_keeps_the_event_logged_as_the_job_ends(
+        server, monkeypatch):
+    class RacingJob:
+        """Logs ``completed`` and turns terminal right after a read, as a
+        job finishing between the stream's read and its done check does."""
+
+        def __init__(self):
+            self.events = [{"seq": 0, "event": "submitted"}]
+            self.done = False
+
+        def events_since(self, index):
+            batch = self.events[index:]
+            if not self.done:
+                self.events.append({"seq": 1, "event": "completed"})
+                self.done = True
+            return batch
+
+        def wait(self, timeout=None):
+            return self.done
+
+    monkeypatch.setattr(server.manager, "job", lambda job_id: RacingJob())
+    events = list(SweepClient(server.url).events("sweep-x", follow=True))
+    assert [e["event"] for e in events] == ["submitted", "completed"]
+
+
 def test_results_by_key_is_served_without_simulating(server):
     client, job_id, _ = submit_and_wait(server, {"spec": SPEC})
     key = client.results(job_id)["records"][0]["key"]
