@@ -34,7 +34,7 @@ import json
 import sys
 
 from ..obs import export as _obs_export
-from ..obs import profile as _obs_profile
+from ..obs import recording
 from ..obs import tracing as _obs_tracing
 from ..rtl import STRATEGIES
 from .report import comparison_report, coverage_summary, results_table
@@ -249,7 +249,6 @@ def _run_remote(args, spec: dict) -> int:
             if not args.quiet:
                 print(f"trace: {len(trace_records)} merged record(s) from "
                       f"{args.server} written to {args.trace} ({fmt})")
-            args._trace_handled = True
     except ServiceError as exc:
         print(f"sweep service error: {exc}", file=sys.stderr)
         return 3
@@ -264,29 +263,11 @@ def _run_remote(args, spec: dict) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    profiler = _obs_profile.enable() if args.profile else None
-    if args.trace is not None:
-        _obs_tracing.enable()
-    try:
+    # With --server the trace is recorded pool-side and fetched by
+    # _run_remote; this process records none of its own.
+    local_trace = args.trace if args.server is None else None
+    with recording(local_trace, args.profile, quiet=args.quiet):
         return _run(args)
-    finally:
-        if args.trace is not None and not getattr(args, "_trace_handled",
-                                                  False):
-            _obs_tracing.disable()
-            # stats() survives drain(): read the overflow count first so
-            # the NDJSON header declares how truncated the trace is.
-            dropped = _obs_tracing.stats()["dropped"]
-            trace_records = _obs_tracing.drain()
-            trace_records.insert(
-                0, _obs_export.meta_record(dropped_spans=dropped))
-            fmt = _obs_export.write_trace(trace_records, args.trace)
-            if not args.quiet:
-                print(f"trace: {len(trace_records)} record(s) written to "
-                      f"{args.trace} ({fmt})")
-        if profiler is not None:
-            _obs_profile.disable()
-            if not args.quiet:
-                print(profiler.report())
 
 
 def _run(args) -> int:

@@ -10,9 +10,9 @@ shards to SIGKILL-able worker processes.  This module is the bridge:
   the worker's spans will hang under + the shared timeline origin).
 * **Worker capture** — :func:`reset_worker_telemetry` scrubs the
   telemetry state a forked worker inherited from its parent, and
-  :class:`ShardCapture` records the worker's spans / metric deltas /
-  settle-profile rows for one shard and packs them into a bounded,
-  picklable payload that rides back on the existing pipe reply.
+  :class:`ShardCapture` records the worker's spans and metric deltas
+  for one shard and packs them into a bounded, picklable payload that
+  rides back on the existing pipe reply.
 * **Merge** — :class:`JobTrace` (owned by the manager, one per traced
   job) assembles manager-side spans and worker payloads into a single
   sweep-wide trace: worker-local span ids are remapped to globally
@@ -104,12 +104,14 @@ def reset_worker_telemetry() -> None:
     """Scrub all telemetry state in a just-started worker process.
 
     Under the ``fork`` start method a worker begins life with a full
-    copy of the parent's metrics registry, tracing ring buffer and
-    active-session flags.  Without this reset the worker's first counter
-    delta would re-ship everything the *parent* ever counted (pool-wide
-    aggregation would double-count it), and a tracing session enabled in
-    the parent would leak parent spans into worker exports.  Called
-    first thing in ``repro.serve.jobs._worker_main``.
+    copy of the parent's metrics registry, tracing ring buffer, profiler
+    and active-session flags.  Without this reset the worker's first
+    counter delta would re-ship everything the *parent* ever counted
+    (pool-wide aggregation would double-count it), a tracing session
+    enabled in the parent would leak parent spans into worker exports,
+    and an inherited profiler would time every worker step for a report
+    nobody prints.  Called first thing in
+    ``repro.serve.jobs._worker_main``.
     """
     tracing.reset()
     profile.disable()
@@ -155,7 +157,7 @@ def fold_counter_deltas(deltas: Optional[Dict[str, object]]) -> None:
 class ShardCapture:
     """Worker-side telemetry capture around one shard evaluation.
 
-    ``begin`` activates tracing/profiling when the dispatch carried a
+    ``begin`` activates tracing when the dispatch carried a
     :class:`TraceContext` (untraced jobs pay nothing: no enable, no span,
     just one counter-snapshot diff per *shard*, never per cycle), and
     ``finish`` packs the capture into the reply payload.  Exceptions in
@@ -171,7 +173,6 @@ class ShardCapture:
         if context is not None:
             self.epoch_ns = time.time_ns()
             tracing.enable(context.capacity)
-            profile.enable()
             self._span = tracing.span("worker.shard",
                                       trace_id=context.trace_id)
             self._span.__enter__()
@@ -208,28 +209,7 @@ class ShardCapture:
             spans = spans[-span_limit:]  # newest records win, like the ring
         payload.update(epoch_ns=self.epoch_ns, spans=spans,
                        dropped_spans=dropped)
-        profiler = profile.disable()
-        if profiler is not None and profiler.strategies:
-            payload["profile"] = {
-                "strategies": {name: dict(bucket) for name, bucket
-                               in profiler.strategies.items()},
-                "compiles": len(profiler.compiles),
-                "compile_seconds": sum(float(c["seconds"])
-                                       for c in profiler.compiles),
-            }
         return payload
-
-
-def merge_profile(into: Dict[str, Dict[str, float]],
-                  shipped: Optional[Dict[str, object]]) -> None:
-    """Accumulate a shipped settle-profile payload into ``into`` (by name)."""
-    if not shipped:
-        return
-    for strategy, bucket in (shipped.get("strategies") or {}).items():
-        target = into.setdefault(strategy, {})
-        for field, value in bucket.items():
-            if isinstance(value, (int, float)):
-                target[field] = target.get(field, 0) + value
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ Three metric kinds, all supporting labeled series:
 * **histogram** — bucketed observations with sum and count;
   :meth:`MetricsRegistry.observe`.
 
-One process-global :data:`REGISTRY` is the default sink: the RTL layer's
-construction counters (via the :mod:`repro.rtl.instrument` compat shim),
-the store's hit/miss accounting, the job manager's shard telemetry and
-the exploration runner's cache statistics all land here, and the sweep
-server renders the whole registry as Prometheus text exposition on
-``GET /metrics`` (:func:`render_prometheus`).
+One process-global :data:`REGISTRY` is the default sink: the
+simulator's ``simulator_constructions`` counter, the store's hit/miss
+accounting, the job manager's shard telemetry and the exploration
+runner's cache statistics all land here, and the sweep server renders
+the whole registry as Prometheus text exposition on ``GET /metrics``
+(:func:`render_prometheus`).
 
 Every mutation takes one :class:`threading.Lock` — ``ThreadingHTTPServer``
 handler threads, the job manager's pump thread and test threads all write
@@ -143,10 +143,8 @@ class MetricsRegistry:
     def counters(self) -> Dict[str, float]:
         """Flat snapshot of every *unlabeled* counter series.
 
-        This is the view the :mod:`repro.rtl.instrument` compat shim (and
-        ``GET /healthz``) exposes: the historical instrument registry was
-        exactly a name -> int map, so the shim's ``snapshot``/``delta``
-        contract survives unchanged.
+        This is the view ``GET /healthz`` exposes and the worker pool's
+        counter deltas are computed from.
         """
         with self._lock:
             out = {}

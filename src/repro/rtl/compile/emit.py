@@ -377,8 +377,9 @@ class _Emitter:
             # the replacement simulator.
             "    if not sim._attached:",
             "        sim._check_attached()",
+            "    _rounds = 0",
             "    if sim._dirty or sim._written:",
-            "        _settle(sim)",
+            "        _rounds = _settle(sim)",
         ]
         if seq_calls:
             module.append(seq_calls)
@@ -387,10 +388,11 @@ class _Emitter:
             "    for _sig in _w:",
             "        _sig._value = _sig._next",
             "    del _w[:]",
-            "    _settle(sim)",
+            "    _rounds += _settle(sim)",
             "    sim._cycles += 1",
             "    for _watch in sim._watchers:",
             "        _watch(sim._cycles)",
+            "    return _rounds",
         ])
         return "\n".join(module) + "\n"
 

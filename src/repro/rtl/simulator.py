@@ -55,7 +55,7 @@ from typing import Callable, Dict, List, Optional, Set
 
 from ..obs import profile as _obs_profile
 from ..obs import tracing as _obs_tracing
-from . import instrument
+from ..obs.metrics import REGISTRY
 from . import signal as _signal_state
 from .component import Component, Memory
 from .errors import CombinationalLoopError, SimulationError
@@ -98,7 +98,7 @@ class Simulator:
             raise SimulationError(
                 f"unknown settle strategy {strategy!r}; expected one of "
                 f"{STRATEGIES}")
-        instrument.bump(instrument.SIMULATOR_CONSTRUCTIONS)
+        REGISTRY.inc("simulator_constructions")
         self.top = top
         self.max_settle = max_settle
         self.max_cycles = max_cycles
@@ -421,7 +421,7 @@ class Simulator:
         the disabled step loop to zero telemetry allocations, and the
         ``compiled-obs-off`` floor in ``benchmarks/check_regression.py``
         pins its throughput).  Only while a profiler or tracer is
-        installed does the slower instrumented loop run.
+        installed does the instrumented wrapper run.
         """
         if cycles < 0:
             raise SimulationError(f"cannot step a negative number of cycles: {cycles}")
@@ -430,110 +430,68 @@ class Simulator:
             return
         self._step_plain(cycles)
 
-    def _step_plain(self, cycles: int) -> None:
-        """The uninstrumented hot loops — one per settle strategy."""
+    def _step_plain(self, cycles: int) -> int:
+        """The uninstrumented hot loops — one per settle strategy.
+
+        Returns the settle delta iterations the loop ran (for the compiled
+        strategy, the convergence rounds the generated ``cycle()`` reports).
+        """
+        rounds = 0
         if self._strategy == COMPILED:
             cycle = self._program.cycle
             for _ in range(cycles):
-                cycle(self)
-            return
+                rounds += cycle(self)
+            return rounds
         if self._strategy == EVENT:
             settle = self._settle_event
             flush = self._flush_written
             seq = self._seq
             watchers = self._watchers
             for _ in range(cycles):
-                settle()
+                rounds += settle()
                 for proc in seq:
                     proc()
                 flush()
-                settle()
+                rounds += settle()
                 self._cycles += 1
                 for watcher in watchers:
                     watcher(self._cycles)
-            return
+            return rounds
         for _ in range(cycles):
-            self._settle_fixpoint()
+            rounds += self._settle_fixpoint()
             for proc in self._seq:
                 proc()
             self._commit_all()
-            self._settle_fixpoint()
+            rounds += self._settle_fixpoint()
             self._cycles += 1
             for watcher in self._watchers:
                 watcher(self._cycles)
+        return rounds
 
     def _step_instrumented(self, cycles: int) -> None:
-        """Step with telemetry: batch-level span plus per-step profiling.
+        """Step with telemetry: a batch-level span and a timer around the
+        plain loop, reported to the profiler when one is installed.
 
         Spans stay *batch*-granular — one span per :meth:`step` call when
         it advances more than one cycle, never one per cycle — so tracing
         a million-cycle run records a handful of spans, not a million.
-        The profiled loops mirror the plain ones but keep the settle
-        delta-iteration counts the fast paths discard (for the compiled
-        strategy the generated ``cycle()`` is re-expressed in terms of
-        ``program.settle`` so its convergence rounds become visible).
         """
         profiler = _obs_profile.active()
-        if profiler is None:
-            if cycles > 1:
-                with _obs_tracing.span("step", strategy=self._strategy,
-                                       cycles=cycles):
-                    self._step_plain(cycles)
-            else:
-                self._step_plain(cycles)
-            return
-        tracer_on = _obs_tracing._STATE.active and cycles > 1
-        span = (_obs_tracing.span("step", strategy=self._strategy,
-                                  cycles=cycles, profiled=True)
-                if tracer_on else _obs_tracing.NULL_SPAN)
+        span = _obs_tracing.NULL_SPAN
+        if _obs_tracing._STATE.active and cycles > 1:
+            span = _obs_tracing.span("step", strategy=self._strategy,
+                                     cycles=cycles)
+            if profiler is not None:
+                span.args["profiled"] = True
         misses_before = self.analysis_misses
-        iterations = 0
         with span:
             start = time.perf_counter()
-            if self._strategy == COMPILED:
-                settle = self._program.settle
-                seq = self._seq
-                for _ in range(cycles):
-                    # Mirrors the generated cycle() (see emit_module), with
-                    # the settle return values captured instead of dropped.
-                    if not self._attached:
-                        self._check_attached()
-                    if self._dirty or self._written:
-                        iterations += settle(self)
-                    for proc in seq:
-                        proc()
-                    written = self._written
-                    for sig in written:
-                        sig._value = sig._next
-                    del written[:]
-                    iterations += settle(self)
-                    self._cycles += 1
-                    for watcher in self._watchers:
-                        watcher(self._cycles)
-            elif self._strategy == EVENT:
-                for _ in range(cycles):
-                    iterations += self._settle_event()
-                    for proc in self._seq:
-                        proc()
-                    self._flush_written()
-                    iterations += self._settle_event()
-                    self._cycles += 1
-                    for watcher in self._watchers:
-                        watcher(self._cycles)
-            else:
-                for _ in range(cycles):
-                    iterations += self._settle_fixpoint()
-                    for proc in self._seq:
-                        proc()
-                    self._commit_all()
-                    iterations += self._settle_fixpoint()
-                    self._cycles += 1
-                    for watcher in self._watchers:
-                        watcher(self._cycles)
+            rounds = self._step_plain(cycles)
             elapsed = time.perf_counter() - start
-        profiler.record_step(self._strategy, cycles, elapsed,
-                             settle_iterations=iterations,
-                             fallback_hits=self.analysis_misses - misses_before)
+        if profiler is not None:
+            profiler.record_step(
+                self._strategy, cycles, elapsed, settle_iterations=rounds,
+                fallback_hits=self.analysis_misses - misses_before)
 
     def run_until(self, condition: Callable[[], bool],
                   max_cycles: Optional[int] = None) -> int:

@@ -21,8 +21,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..obs import export as _obs_export
-from ..obs import profile as _obs_profile
+from ..explore.spec import parse_frames
+from ..obs import recording
 from ..obs import tracing as _obs_tracing
 from ..rtl import COMPILED, STRATEGIES
 from ..verify.rng import SEED_ENV, default_seed
@@ -144,37 +144,8 @@ def main(argv=None) -> int:
     if not args.targets and not args.frontier:
         parser.error("name at least one target (see --list) or pass "
                      "--frontier")
-    profiler = _obs_profile.enable() if args.profile else None
-    if args.trace is not None:
-        _obs_tracing.enable()
-    try:
+    with recording(args.trace, args.profile, quiet=args.quiet):
         return _run(args)
-    finally:
-        if args.trace is not None:
-            _obs_tracing.disable()
-            dropped = _obs_tracing.stats()["dropped"]
-            records = _obs_tracing.drain()
-            records.insert(0, _obs_export.meta_record(dropped_spans=dropped))
-            fmt = _obs_export.write_trace(records, args.trace)
-            if not args.quiet:
-                print(f"trace: {len(records)} record(s) written to "
-                      f"{args.trace} ({fmt})")
-        if profiler is not None:
-            _obs_profile.disable()
-            if not args.quiet:
-                print(profiler.report())
-
-
-def _parse_frames(frames):
-    sizes = []
-    for text in frames:
-        try:
-            width, height = text.lower().split("x", 1)
-            sizes.append((int(width), int(height)))
-        except ValueError:
-            raise SystemExit(f"bad frame size {text!r}; expected WxH "
-                             f"(e.g. 16x12)") from None
-    return sizes
 
 
 def _run(args) -> int:
@@ -238,11 +209,14 @@ def _run(args) -> int:
                 status = 1
 
     if args.frontier:
+        try:
+            frame_sizes = parse_frames(args.frames)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
         freport = design_search(
             budget=args.frontier_budget, seed=args.seed, store=args.store,
             designs=args.designs, bindings=args.bindings,
-            pixel_formats=args.formats,
-            frame_sizes=_parse_frames(args.frames),
+            pixel_formats=args.formats, frame_sizes=frame_sizes,
             capacities=args.capacities)
         frontier_json = freport.to_json()
         if not args.quiet:

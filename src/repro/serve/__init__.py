@@ -8,7 +8,8 @@ The explore layer made design-space sweeps cheap; this package makes them
     by the explorer's memo keys (design hash × strategy × verify config),
     with atomic JSON-blob writes, schema versioning, corruption quarantine
     and an LRU size cap.  A warm store means a repeated sweep performs
-    **zero** simulations (provable via :mod:`repro.rtl.instrument`).
+    **zero** simulations (provable via the ``simulator_constructions``
+    counter of :data:`repro.obs.metrics.REGISTRY`).
 
 ``serve.records``
     The serialization boundary: design/pipeline points and

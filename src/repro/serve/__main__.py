@@ -14,6 +14,7 @@ chosen and printed — handy for smoke tests and CI.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 from .server import SweepServer
@@ -62,9 +63,12 @@ def main(argv=None) -> int:
         store, host=args.host, port=args.port, workers=args.workers,
         shard_size=args.shard_size, shard_timeout=args.shard_timeout,
         max_retries=args.max_retries, verbose=args.verbose)
-    print(f"serving sweeps on {server.url} "
-          f"(store: {store.root}, workers: {args.workers})", flush=True)
+    # SIGTERM (a plain ``kill``) takes the Ctrl-C path, so the finally
+    # clause closes the worker pool instead of orphaning it.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        print(f"serving sweeps on {server.url} "
+              f"(store: {store.root}, workers: {args.workers})", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         print("shutting down", file=sys.stderr)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import signal
 import threading
 import time
 import traceback
@@ -207,16 +208,18 @@ def _worker_main(conn, worker_id: int) -> None:
     Telemetry rides the same pipe: every reply is a 5-tuple whose last
     element is the worker's telemetry payload — always the counter deltas
     since its previous reply (what makes ``GET /metrics`` pool-wide), and
-    additionally the shard's span buffer and settle-profile rows when the
-    dispatch carried a trace context.  A killed worker ships nothing,
-    which is exactly how a lost shard's telemetry stays lost instead of
-    corrupted.
+    additionally the shard's span buffer when the dispatch carried a
+    trace context.  A killed worker ships nothing, which is exactly how
+    a lost shard's telemetry stays lost instead of corrupted.
     """
     # Under the fork start method this process begins life with the
     # parent's metric counters, tracing ring buffer and profiler state —
     # scrub all of it before the first shard or pool-wide aggregation
     # would double-count everything the manager already recorded.
     _distributed.reset_worker_telemetry()
+    # A worker forked after ``python -m repro.serve`` routed SIGTERM to
+    # KeyboardInterrupt inherits that handler; terminate() must kill it.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     while True:
         try:
             task = conn.recv()
@@ -273,8 +276,6 @@ class SweepJob:
         #: Merged sweep-wide trace (``config.trace`` jobs only).
         self.trace: Optional[_distributed.JobTrace] = \
             _distributed.JobTrace(job_id) if config.trace else None
-        #: Pool-wide settle-profile rows folded from worker replies.
-        self.profile: Dict[str, Dict[str, float]] = {}
         self._lock = lock
         self._terminal = threading.Event()
 
@@ -894,8 +895,8 @@ class JobManager:
         """Fold one shard reply's telemetry into manager-side state.
 
         Counter deltas always fold (``GET /metrics`` stays pool-wide even
-        for untraced jobs); span/profile payloads only exist — and only
-        merge — when the job is traced.  Stale replies never reach here,
+        for untraced jobs); span payloads only exist — and only merge —
+        when the job is traced.  Stale replies never reach here,
         so a re-dispatched shard's telemetry is counted exactly once.
         """
         _distributed.fold_counter_deltas(telemetry.get("counters"))
@@ -907,7 +908,6 @@ class JobManager:
             parent=job.trace.root_id, span_id=shard.trace_span,
             shard=shard.shard_id, attempt=shard.attempts,
             worker_pid=telemetry.get("pid"), points=len(shard.keys))
-        _distributed.merge_profile(job.profile, telemetry.get("profile"))
         job.emit("span", name="shard", shard=shard.shard_id,
                  attempt=shard.attempts, worker_pid=telemetry.get("pid"),
                  spans=summary["spans"], dropped=summary["dropped"])

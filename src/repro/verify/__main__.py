@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..obs import profile as _obs_profile
+from ..obs import recording
 from ..rtl import COMPILED, STRATEGIES
 from .coverage import CoverageDB
 from .rng import SEED_ENV, default_seed
@@ -64,14 +64,8 @@ def main(argv=None) -> int:
             print(f"{name:<26} default_cycles={spec.default_cycles}")
         return 0
 
-    if args.profile:
-        profiler = _obs_profile.enable()
-        try:
-            return _run(args)
-        finally:
-            _obs_profile.disable()
-            print(profiler.report())
-    return _run(args)
+    with recording(profiling=args.profile):
+        return _run(args)
 
 
 def _run(args) -> int:

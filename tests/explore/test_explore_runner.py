@@ -17,7 +17,8 @@ from repro.explore import (
     resolve_strategy,
     results_table,
 )
-from repro.rtl import COMPILED, EVENT, FIXPOINT, instrument
+from repro.obs.metrics import REGISTRY
+from repro.rtl import COMPILED, EVENT, FIXPOINT
 
 SMALL_GRID = dict(designs=("saa2vga",), pixel_formats=("gray8",),
                   frame_sizes=((8, 4),), capacities=(8, 16))
@@ -167,17 +168,17 @@ def test_process_pool_matches_in_process_and_shares_the_store(tmp_path):
     an in-process run, written to the same store entries."""
     points = expand_grid(**SMALL_GRID)
     store = str(tmp_path / "store")
-    before = instrument.snapshot()
+    before = REGISTRY.value("simulator_constructions")
     pooled = ExplorationRunner(processes=2, store=store).run(points)
     # Worker counters fold back over the pipe: the pool really simulated.
-    assert instrument.simulations_since(before) == len(points)
+    assert REGISTRY.value("simulator_constructions") - before == len(points)
     local = ExplorationRunner().run(points)
     assert [asdict(res) for res in pooled] == [asdict(res) for res in local]
 
     warm = ExplorationRunner(processes=2, store=store)
-    before = instrument.snapshot()
+    before = REGISTRY.value("simulator_constructions")
     assert warm.run(points) == local
-    assert instrument.simulations_since(before) == 0
+    assert REGISTRY.value("simulator_constructions") == before
     assert warm.store_hits == len(points) and warm.evaluations == 0
 
 

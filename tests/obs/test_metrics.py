@@ -2,7 +2,8 @@
 
 The registry is process-global in production; these tests use private
 :class:`MetricsRegistry` instances so they cannot interfere with the
-counters other suites read through the :mod:`repro.rtl.instrument` shim.
+counters other suites read from the process-global ``REGISTRY``
+(``simulator_constructions`` among them).
 """
 
 import threading
@@ -11,11 +12,9 @@ import pytest
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
-    REGISTRY,
     MetricsRegistry,
     render_prometheus,
 )
-from repro.rtl import instrument
 
 
 class TestKinds:
@@ -92,29 +91,6 @@ class TestThreadSafety:
             t.join()
         assert reg.value("contended") == n_threads * n_incs
         assert reg.histogram("obs")["count"] == n_threads * n_incs
-
-
-class TestInstrumentShim:
-    """repro.rtl.instrument and repro.obs share ONE storage."""
-
-    def test_bump_lands_in_global_registry(self):
-        before = REGISTRY.value("shim_shared_check")
-        instrument.bump("shim_shared_check", 2)
-        assert REGISTRY.value("shim_shared_check") == before + 2
-        assert instrument.value("shim_shared_check") == before + 2
-
-    def test_registry_inc_visible_through_shim_snapshot(self):
-        REGISTRY.inc("registry_side_counter", 5)
-        assert instrument.snapshot()["registry_side_counter"] >= 5
-
-    def test_delta_and_simulations_since_contract(self):
-        before = instrument.snapshot()
-        instrument.bump(instrument.SIMULATOR_CONSTRUCTIONS, 3)
-        instrument.bump("shim_unrelated_counter", 2)
-        diff = instrument.delta(before)
-        assert diff[instrument.SIMULATOR_CONSTRUCTIONS] == 3
-        assert diff["shim_unrelated_counter"] == 2
-        assert instrument.simulations_since(before) == 3
 
 
 class TestPrometheusRendering:

@@ -3,20 +3,24 @@
 The evaluator's three-level lookup (memo -> :class:`ResultStore` ->
 simulation) shares the exact ``verify_key`` identity the verify CLI
 and the sweep service use, so a second search over a warm store must
-replay every proposal — provable both with ``repro.rtl.instrument``
-simulation counters and the ``search_store_hits`` metric.
+replay every proposal — provable both with the
+``simulator_constructions`` counter and the ``search_store_hits`` metric.
 """
 
 import pytest
 
 from repro.obs.metrics import REGISTRY
-from repro.rtl import instrument
 from repro.search.driver import CoverageSearch, SearchConfig
 from repro.search.state import SessionEvaluator, resolved_cycles
 from repro.serve.records import verify_key
 from repro.serve.store import ResultStore
 
 CONFIG = dict(targets=("queue/fifo",), budget=4, cycles=120, seed=0)
+
+
+def constructions():
+    """Simulators constructed so far in this process (pool work folds in)."""
+    return REGISTRY.value("simulator_constructions")
 
 
 @pytest.fixture()
@@ -29,12 +33,12 @@ def test_warm_store_research_performs_zero_simulations(store):
     cold_report = cold.run()
     assert cold_report.closed and cold_report.simulated > 0
 
-    before_sims = instrument.snapshot()
+    before_sims = constructions()
     before_hits = REGISTRY.counters().get("search_store_hits", 0)
     warm = CoverageSearch(SearchConfig(**CONFIG), store=store)
     warm_report = warm.run()
 
-    assert instrument.simulations_since(before_sims) == 0
+    assert constructions() == before_sims
     assert warm_report.simulated == 0
     assert warm_report.store_hits == warm_report.sessions > 0
     assert (REGISTRY.counters()["search_store_hits"] - before_hits
@@ -58,10 +62,10 @@ def test_default_verify_cli_store_warms_a_default_search(
     assert verify_main(["queue/fifo", "--store", store_dir]) == 0
     capsys.readouterr()
 
-    before = instrument.snapshot()
+    before = constructions()
     report = CoverageSearch(SearchConfig(targets=("queue/fifo",)),
                             store=store_dir).run()
-    assert instrument.simulations_since(before) == 0
+    assert constructions() == before
     assert report.simulated == 0 and report.store_hits == report.sessions
     assert report.closed
 

@@ -3,19 +3,24 @@
 Pins the acceptance criterion end to end at the command-line layer: the
 same grid swept twice through ``python -m repro.explore --store`` and
 through ``--server`` constructs **zero** simulators on the second pass
-(asserted with the :mod:`repro.rtl.instrument` counters), and ``python -m
+(asserted with the ``simulator_constructions`` counter), and ``python -m
 repro.verify --store`` replays clean sessions from the store.
 """
 
 import pytest
 
 from repro.explore.__main__ import main as explore_main
-from repro.rtl import instrument
+from repro.obs.metrics import REGISTRY
 from repro.serve import ResultStore, SweepServer
 from repro.verify.__main__ import main as verify_main
 
 GRID = ["--designs", "saa2vga", "--bindings", "fifo", "sram",
         "--capacities", "8", "--frames", "8x4"]
+
+
+def constructions():
+    """Simulators constructed so far in this process (pool work folds in)."""
+    return REGISTRY.value("simulator_constructions")
 
 
 # -- explore --store ------------------------------------------------------------
@@ -27,11 +32,11 @@ def test_explore_store_mode_warm_resweep_is_zero_simulations(tmp_path, capsys):
     first = capsys.readouterr().out
     assert "2 point(s) evaluated (0 from cache, 0 from store)" in first
 
-    before = instrument.snapshot()
+    before = constructions()
     assert explore_main(GRID + ["--store", store_dir]) == 0
     second = capsys.readouterr().out
     assert "2 point(s) evaluated (2 from cache, 2 from store)" in second
-    assert instrument.simulations_since(before) == 0, \
+    assert constructions() == before, \
         "a warm --store re-sweep must not construct a single simulator"
 
     # The reports themselves are identical — cached results are
@@ -58,12 +63,12 @@ def test_explore_compiled_strategy_shares_the_store_with_auto(tmp_path, capsys):
     assert explore_main(GRID + ["--store", store_dir,
                                 "--strategy", "compiled"]) == 0
     capsys.readouterr()
-    before = instrument.snapshot()
+    before = constructions()
     assert explore_main(GRID + ["--store", store_dir,
                                 "--strategy", "auto"]) == 0
     out = capsys.readouterr().out
     assert "(2 from cache, 2 from store)" in out
-    assert instrument.simulations_since(before) == 0
+    assert constructions() == before
 
 
 # -- explore --server -----------------------------------------------------------
@@ -77,11 +82,11 @@ def test_explore_server_mode_round_trip_and_warm_cache(tmp_path, capsys):
         assert f"(0 from cache, via {server.url})" in first
         assert "saa2vga" in first
 
-        before = instrument.snapshot()
+        before = constructions()
         assert explore_main(GRID + ["--server", server.url]) == 0
         second = capsys.readouterr().out
         assert f"(2 from cache, via {server.url})" in second
-        assert instrument.simulations_since(before) == 0, \
+        assert constructions() == before, \
             "warm server sweeps must be served entirely from the store"
 
     assert [line for line in first.splitlines() if "saa2vga" in line] == \
@@ -120,10 +125,10 @@ def test_verify_store_mode_replays_clean_sessions(tmp_path, capsys):
     first = capsys.readouterr().out
     assert "[store]" not in first
 
-    before = instrument.snapshot()
+    before = constructions()
     assert verify_main(argv + ["--min-coverage", "90"]) == 0
     second = capsys.readouterr().out
-    assert instrument.simulations_since(before) == 0, \
+    assert constructions() == before, \
         "clean cached sessions must replay without simulating"
     assert second.count("[store]") == 2
     # Summary lines (and the merged coverage gate) match the live run.

@@ -23,7 +23,6 @@ from repro.serve.client import ServiceError, SweepClient
 from repro.serve.jobs import JobManager, SweepConfig
 from repro.serve.server import SweepServer
 from repro.serve.store import ResultStore
-from repro.rtl.instrument import SIMULATOR_CONSTRUCTIONS
 
 
 def make_points(capacities=(8, 12, 16, 24)):
@@ -140,7 +139,7 @@ def test_pool_counters_equal_sequential_run():
     points = make_points()
     reset_worker_telemetry()
 
-    before = REGISTRY.counters().get(SIMULATOR_CONSTRUCTIONS, 0)
+    before = REGISTRY.counters().get("simulator_constructions", 0)
     manager = JobManager(store=None, workers=2, shard_size=1)
     try:
         job = manager.submit(points, SweepConfig(strategy="compiled"))
@@ -148,13 +147,13 @@ def test_pool_counters_equal_sequential_run():
         assert job.progress()["failed"] == 0
     finally:
         manager.close()
-    pool_delta = REGISTRY.counters().get(SIMULATOR_CONSTRUCTIONS, 0) - before
+    pool_delta = REGISTRY.counters().get("simulator_constructions", 0) - before
 
-    before = REGISTRY.counters().get(SIMULATOR_CONSTRUCTIONS, 0)
+    before = REGISTRY.counters().get("simulator_constructions", 0)
     for point in points:
         evaluate_point(point, strategy="compiled")
     sequential_delta = \
-        REGISTRY.counters().get(SIMULATOR_CONSTRUCTIONS, 0) - before
+        REGISTRY.counters().get("simulator_constructions", 0) - before
 
     assert pool_delta == sequential_delta != 0, \
         "folded worker deltas must equal the sequential in-process count"
@@ -264,13 +263,13 @@ def test_trace_endpoint_404_for_untraced_job(server):
 
 def test_metrics_exposition_includes_worker_side_counters(server):
     client = SweepClient(server.url)
-    before = REGISTRY.counters().get(SIMULATOR_CONSTRUCTIONS, 0)
+    before = REGISTRY.counters().get("simulator_constructions", 0)
     job_id = client.submit(submission(trace=False))["id"]
     client.wait(job_id, timeout=120)
     scrape = urllib.request.urlopen(f"{server.url}/metrics",
                                     timeout=30).read().decode()
     line = next(line for line in scrape.splitlines()
-                if line.startswith(f"repro_{SIMULATOR_CONSTRUCTIONS}_total"))
+                if line.startswith("repro_simulator_constructions_total"))
     assert float(line.split()[-1]) - before >= 4, \
         "simulation happens only in workers: the construction counter " \
         "moving in this process proves worker deltas were folded in"

@@ -106,7 +106,7 @@ def test_failed_search_is_a_failed_job_not_an_http_error():
 def test_search_jobs_reuse_the_managers_store(tmp_path):
     """A second identical search job replays every session from the
     manager's persistent store — zero fresh simulations."""
-    from repro.rtl import instrument
+    from repro.obs.metrics import REGISTRY
 
     store = ResultStore(tmp_path / "store")
     manager = JobManager(store=store, workers=1)
@@ -116,11 +116,11 @@ def test_search_jobs_reuse_the_managers_store(tmp_path):
         assert first.progress()["state"] == "done"
         assert store.stats()["entries"] > 0
 
-        before = instrument.snapshot()
+        before = REGISTRY.value("simulator_constructions")
         second = manager.submit_search(dict(BODY))
         second.wait(timeout=120)
         assert second.progress()["state"] == "done"
-        assert instrument.simulations_since(before) == 0
+        assert REGISTRY.value("simulator_constructions") == before
         assert second.ordered_records()["report"]["store_hits"] == \
             second.progress()["sessions"]
     finally:

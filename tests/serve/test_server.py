@@ -10,12 +10,17 @@ import urllib.request
 
 import pytest
 
-from repro.rtl import instrument
+from repro.obs.metrics import REGISTRY
 from repro.serve import ServiceError, SweepClient, SweepServer
 from repro.serve.store import ResultStore
 
 SPEC = {"designs": ["saa2vga"], "bindings": ["fifo", "sram"],
         "capacities": [8], "frames": ["8x4"]}
+
+
+def constructions():
+    """Simulators constructed so far in this process (pool work folds in)."""
+    return REGISTRY.value("simulator_constructions")
 
 
 @pytest.fixture()
@@ -104,11 +109,11 @@ def test_results_by_key_is_served_without_simulating(server):
     client, job_id, _ = submit_and_wait(server, {"spec": SPEC})
     key = client.results(job_id)["records"][0]["key"]
 
-    before = instrument.snapshot()
+    before = constructions()
     record = client.result(key)
     assert record["key"] == key
     assert record["kind"] == "exploration"
-    assert instrument.simulations_since(before) == 0, \
+    assert constructions() == before, \
         "GET /results/<key> must be a pure store read"
 
 
@@ -133,11 +138,11 @@ def test_second_identical_sweep_is_fully_cache_served_with_zero_sims(server):
     client, _, first = submit_and_wait(server, {"spec": SPEC})
     assert first["simulated"] == 2
 
-    before = instrument.snapshot()
+    before = constructions()
     _, job2, second = submit_and_wait(server, {"spec": SPEC})
     assert second["state"] == "done"
     assert second["cached"] == 2 and second["simulated"] == 0
-    assert instrument.simulations_since(before) == 0, \
+    assert constructions() == before, \
         "a warm re-sweep must construct zero simulators in the service"
     events = [e["event"] for e in client.events(job2)]
     assert "shard_started" not in events, \
