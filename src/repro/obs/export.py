@@ -129,7 +129,8 @@ def read_trace(path) -> List[dict]:
     ``id=None``/``parent=None``; summaries still work, tree-accurate
     attribution needs the NDJSON form.
     """
-    text = open(path, "r", encoding="utf-8").read()
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
     if str(path).endswith((".ndjson", ".jsonl")):
         return [json.loads(line) for line in text.splitlines() if line.strip()]
     # Other extensions: a single Chrome trace-event JSON document — unless

@@ -12,7 +12,8 @@ strategy:
   caught missing a write and self-corrected through the fixpoint oracle;
 
 plus per-design compile accounting: emission time, cyclic-group counts
-and sizes, opaque (non-dissolved) process counts.
+and sizes, opaque (non-dissolved) process counts and the processes left
+generic (called as written rather than specialised).
 
 Like tracing, the disabled path is one attribute read
 (:func:`active` returning ``None``) and allocates nothing; the simulator
@@ -66,6 +67,7 @@ class SettleProfiler:
                 n_procs=report.n_procs,
                 n_transpiled=report.n_transpiled_procs,
                 n_opaque=report.n_opaque_procs,
+                n_generic=report.n_generic_procs,
                 n_cyclic_groups=report.n_cyclic_groups,
                 cyclic_group_sizes=list(report.cyclic_group_sizes),
                 guarded=report.guarded,
@@ -99,10 +101,12 @@ class SettleProfiler:
                              for c in self.compiles)
                 opaque = sum(int(c.get("n_opaque", 0))
                              for c in self.compiles)
+                generic = sum(int(c.get("n_generic", 0))
+                              for c in self.compiles)
                 lines.append(
                     f"compile: {len(self.compiles)} emission(s), "
                     f"{total:.3f} s total; {cyclic} cyclic group(s), "
-                    f"{opaque} opaque proc(s)")
+                    f"{opaque} opaque proc(s), {generic} generic proc(s)")
             return "\n".join(lines)
 
 

@@ -1,4 +1,4 @@
-"""Static read/write analysis of combinational processes.
+"""Static analysis of process bodies.
 
 The compiled backend schedules every combinational process exactly once per
 settle (in dependency order), so it must know, *before* simulation, every
@@ -23,6 +23,13 @@ of plain signal plumbing (assignments, ternaries, arithmetic, ``fsm.is_in``)
 can be dissolved into the generated settle function statement by statement,
 removing even the Python call overhead — the software analogue of the
 paper's wrapper dissolution.
+
+Every walk also leaves *notes*: which AST node resolved to which signal,
+memory or FSM state.  The emitter uses them to specialise the bodies it
+does not dissolve (sequential processes and combinational call units)
+onto slots.  A sequential process is analysed with ``sequential=True``:
+its helpers are not entered, because only the notes of its own body are
+needed, not read/write sets.
 """
 
 from __future__ import annotations
@@ -100,6 +107,8 @@ class ProcAnalysis:
     notes: Dict[int, Any] = field(default_factory=dict)
     #: Names of process-local temporaries (for collision-free mangling).
     local_names: Set[str] = field(default_factory=set)
+    #: The parsed body the notes refer to (None without readable source).
+    tree: Optional[ast.FunctionDef] = None
 
     @property
     def transpilable(self) -> bool:
@@ -129,7 +138,11 @@ def _proc_source(func: Callable) -> Optional[str]:
 
 
 def _parse_proc(func: Callable) -> Optional[ast.FunctionDef]:
-    """Parse ``func`` down to its ``FunctionDef`` node (None on failure)."""
+    """Parse ``func`` down to its ``FunctionDef`` node (None on failure).
+
+    The definition must carry the function's own name: ``getsource`` of a
+    lambda returns its whole line, and of a wrapper the wrapped function.
+    """
     source = _proc_source(func)
     if source is None:
         return None
@@ -138,8 +151,11 @@ def _parse_proc(func: Callable) -> Optional[ast.FunctionDef]:
     except (SyntaxError, IndentationError, ValueError):
         return None
     for node in tree.body:
+        if isinstance(node, ast.FunctionDef) \
+                and node.name == func.__code__.co_name:
+            return node
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return node if isinstance(node, ast.FunctionDef) else None
+            return None
     return None
 
 
@@ -166,10 +182,17 @@ class _Analyzer:
     """AST walker accumulating reads/writes for a single process."""
 
     def __init__(self, analysis: ProcAnalysis, env: Dict[str, Any],
-                 depth: int = 0, call_stack: Optional[Set[Any]] = None) -> None:
+                 depth: int = 0, call_stack: Optional[Set[Any]] = None,
+                 recurse: bool = True,
+                 memo: Optional[Dict[Any, Any]] = None) -> None:
         self.analysis = analysis
         self.env = env
         self.depth = depth
+        #: Whether resolvable helper calls are analysed too.
+        self.recurse = recurse
+        #: ``(id(base), attr) -> (base, resolved)``: ``getattr_static`` is
+        #: slow and a design's processes resolve the same chains many times.
+        self.memo = {} if memo is None else memo
         self.call_stack = call_stack if call_stack is not None else set()
         #: name -> _FAIL (runtime value) or resolved object / AnyOf
         self.locals: Dict[str, Any] = {}
@@ -260,17 +283,22 @@ class _Analyzer:
             if not ok:
                 return _FAIL
             return AnyOf(ok) if len(ok) > 1 else ok[0]
+        key = (id(base), attr)
+        cached = self.memo.get(key)
+        if cached is not None and cached[0] is base:
+            return cached[1]
         try:
             value = inspect.getattr_static(base, attr)
         except (AttributeError, TypeError):
-            return _FAIL
+            value = _FAIL
         if isinstance(value, (property, classmethod, staticmethod)):
-            return _FAIL  # descriptor: would execute code; analysed elsewhere
-        if hasattr(value, "__get__") and not callable(value) and not isinstance(
-                value, (Signal, Memory)):
-            return _FAIL
+            value = _FAIL  # descriptor: would execute code; analysed elsewhere
+        elif hasattr(value, "__get__") and not callable(value) \
+                and not isinstance(value, (Signal, Memory)):
+            value = _FAIL
         # getattr_static returns plain functions for methods; keep them —
         # call analysis re-binds the instance explicitly.
+        self.memo[key] = (base, value)
         return value
 
     def _resolve_subscript(self, base: Any, index: Any) -> Any:
@@ -363,8 +391,11 @@ class _Analyzer:
                 # A bare `return` early-exits the process; later statements
                 # may not run, which a statement-split schedule cannot model.
                 self.not_transpilable()
-        elif isinstance(stmt, (ast.Pass,)):
+        elif isinstance(stmt, ast.Pass):
             return
+        elif isinstance(stmt, (ast.Break, ast.Continue)):
+            # Only cuts paths short; the loop walk already covers them all.
+            self.not_transpilable()
         elif isinstance(stmt, ast.Assert):
             self.not_transpilable()
             self.visit_expr(stmt.test, truth=True)
@@ -384,16 +415,26 @@ class _Analyzer:
             self.not_transpilable()
             self.bail(f"unsupported statement {type(stmt).__name__}")
 
+    def forget_notes(self, nodes) -> None:
+        """Drop the notes under ``nodes`` before a loop's second pass."""
+        notes = self.analysis.notes
+        for root in nodes:
+            for node in ast.walk(root):
+                notes.pop(id(node), None)
+
     def visit_loop(self, stmt) -> None:
+        # Two passes: the second sees every alias the body assigns, so only
+        # its notes are kept.
+        repeated = list(stmt.body)
         if isinstance(stmt, ast.While):
-            self.visit_expr(stmt.test, truth=True)
-            for _ in range(2):  # second pass: aliases assigned in the body
-                self.visit_body(stmt.body)
-            self.visit_body(stmt.orelse)
-            return
-        self.visit_expr(stmt.iter)
-        self.bind_loop_target(stmt.target, stmt.iter)
+            repeated.append(stmt.test)
+        else:
+            self.visit_expr(stmt.iter)
+            self.bind_loop_target(stmt.target, stmt.iter)
         for _ in range(2):
+            self.forget_notes(repeated)
+            if isinstance(stmt, ast.While):
+                self.visit_expr(stmt.test, truth=True)
             self.visit_body(stmt.body)
         self.visit_body(stmt.orelse)
 
@@ -694,6 +735,7 @@ class _Analyzer:
             for cond in gen.ifs:
                 self.visit_expr(cond, truth=True)
         for _ in range(2):
+            self.forget_notes(elements)
             for element in elements:
                 self.visit_expr(element)
 
@@ -771,7 +813,8 @@ class _Analyzer:
             self.visit_expr(arg)
         for kw in node.keywords:
             self.visit_expr(kw.value)
-        self.recurse_into(func, bound_self)
+        if self.recurse:
+            self.recurse_into(func, bound_self)
 
     def recurse_into(self, func: Callable, bound_self: Any) -> None:
         if isinstance(func, (classmethod, staticmethod)):
@@ -792,7 +835,7 @@ class _Analyzer:
             return
         sub = _Analyzer(self.analysis, _closure_env(inner),
                         depth=self.depth + 1,
-                        call_stack=self.call_stack | {key})
+                        call_stack=self.call_stack | {key}, memo=self.memo)
         sub.reads = self.reads
         sub.writes = self.writes
         sub.mem_reads = self.mem_reads
@@ -820,7 +863,9 @@ def _expand(obj: Any):
 
 
 def _contains_signal(obj: Any) -> bool:
-    return any(isinstance(o, (Signal, Memory)) for o in _expand(obj))
+    if isinstance(obj, AnyOf):  # options are already flat
+        return any(isinstance(o, (Signal, Memory)) for o in obj.options)
+    return isinstance(obj, (Signal, Memory))
 
 
 def _is_literal(obj: Any) -> bool:
@@ -828,11 +873,14 @@ def _is_literal(obj: Any) -> bool:
     return obj is None or isinstance(obj, (int, bool, str))
 
 
-def analyze_proc(proc: Callable[[], None]) -> ProcAnalysis:
-    """Analyse one combinational process.
+def analyze_proc(proc: Callable[[], None], sequential: bool = False,
+                 memo: Optional[Dict[Any, Any]] = None) -> ProcAnalysis:
+    """Analyse one process.
 
-    Returns a :class:`ProcAnalysis` whose ``reads``/``writes`` over-approximate
-    every branch of the process.
+    For a combinational process, returns a :class:`ProcAnalysis` whose
+    ``reads``/``writes`` over-approximate every branch of the process.  For a
+    ``sequential`` one, only the notes on its own body are collected.  The
+    processes of one design share a resolution ``memo``.
     """
     analysis = ProcAnalysis(proc=proc)
     parsed = _parse_proc(proc)
@@ -840,7 +888,12 @@ def analyze_proc(proc: Callable[[], None]) -> ProcAnalysis:
         analysis.opaque = True
         analysis.opaque_reasons.append("source unavailable")
         return analysis
-    walker = _Analyzer(analysis, _closure_env(proc))
+    analysis.tree = parsed
+    walker = _Analyzer(analysis, _closure_env(proc), recurse=not sequential,
+                       memo=memo)
+    if sequential:
+        walker.visit_body(parsed.body)
+        return analysis
     units: List[StatementUnit] = []
     splittable = True
     for stmt in parsed.body:

@@ -39,10 +39,14 @@ Two settle strategies implement that contract:
     analysed (:mod:`repro.rtl.compile`), topologically ordered and emitted
     as one straight-line Python function with slot-indexed signal access,
     inlined bit-width masks and fused write+commit — a settle is a single
-    pass with no scheduler overhead at all.  True combinational feedback
-    iterates in small local groups; processes the analyser cannot fully
-    resolve demote the settle to a guarded convergence loop, so the
-    strategy is never wrong, merely slower on such designs.
+    pass with no scheduler overhead at all.  Sequential processes and the
+    combinational processes settle calls whole run as copies of their
+    bodies specialised onto the same slots, and the clock edge commits
+    their writes with emitted lines rather than through ``Signal.next``.
+    True combinational feedback iterates in small local groups; processes
+    the analyser cannot fully resolve demote the settle to a guarded
+    convergence loop, so the strategy is never wrong, merely slower on
+    such designs.
 
 All strategies observe identical two-phase semantics: by the end of a settle
 the network is at the same fixed point, so the engines agree cycle-for-cycle.
@@ -284,10 +288,11 @@ class Simulator:
     def _drain_check(self) -> None:
         """Commit leftover writes after a compiled settle.
 
-        Writes from non-inlined processes land in ``_written`` via the
-        :attr:`Signal.next` hook; the generated code already committed every
-        statically-known write, so surviving differences mean the analyser
-        under-approximated a write set.  The simulator self-corrects by
+        Writes the generated code does not own (helper calls, processes
+        left generic) land in ``_written`` via the :attr:`Signal.next` hook;
+        the generated code already committed every statically-known write,
+        so surviving differences mean the analyser under-approximated a
+        write set.  The simulator self-corrects by
         converging with the fixpoint oracle and records the miss.
         """
         missed = False

@@ -7,7 +7,11 @@ preserve each worker's internal parentage, and exporting the same merged
 state twice must produce byte-identical NDJSON.
 """
 
+import gc
 import json
+import warnings
+
+import pytest
 
 from repro.obs import export
 from repro.obs.distributed import JobTrace, remap_worker_records
@@ -43,6 +47,21 @@ def test_single_span_trace_exports_and_summarizes(tmp_path):
     assert root["name"] == "settle"
     assert fraction == 0.0  # no children: nothing attributed, no crash
     assert "settle" in export.summarize(loaded)
+
+
+@pytest.mark.parametrize("name", ["trace.ndjson", "trace.json"])
+def test_read_trace_closes_its_file(tmp_path, name):
+    path = tmp_path / name
+    records = [span("settle", 0, 1_000, 1)]
+    if name.endswith(".ndjson"):
+        export.write_ndjson(records, path)
+    else:
+        export.write_chrome(records, path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        export.read_trace(path)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_single_span_chrome_conversion_preserves_duration(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 from repro.designs import VideoSystem, build_blur_pattern, build_saa2vga_pattern
 from repro.obs import profile, tracing
-from repro.rtl import Simulator
+from repro.rtl import Component, Simulator
 from repro.video import random_frame
 
 DESIGNS = {
@@ -73,3 +73,17 @@ def test_batch_step_span_args(profiled):
     if profiled:
         expected["profiled"] = True
     assert [r["args"] for r in steps] == [expected]
+
+
+def test_compile_line_counts_generic_procs():
+    """A process without readable source is called as written, and the
+    ``compile:`` line says how many such processes the emissions kept."""
+    top = Component("lambdaseq")
+    count = top.state(8)
+    top.seq(eval("lambda sig: lambda: setattr(sig, 'next', sig.value + 1)")(
+        count))
+    profiler = profile.enable()
+    Simulator(top, strategy="compiled").step(3)
+    profile.disable()
+    assert count.value == 3
+    assert "0 opaque proc(s), 1 generic proc(s)" in profiler.report()

@@ -3,13 +3,17 @@
 The differential suite (``test_strategy_equivalence.py``) proves the
 compiled strategy agrees with the oracle on every shipped design; this file
 tests the compiler's layers directly: static read/write analysis, dependency
-scheduling, source emission and the safety fallbacks (guarded convergence
-for opaque processes, miss detection, combinational-loop reporting).
+scheduling, source emission, the specialised process bodies and the safety
+fallbacks (guarded convergence for opaque processes, miss detection,
+combinational-loop reporting).
 """
+
+import functools
 
 import pytest
 
 from repro.rtl import (
+    Bits,
     COMPILED,
     FIXPOINT,
     CombinationalLoopError,
@@ -423,3 +427,301 @@ def test_source_cache_makes_recompiles_cheap():
     first = Simulator(_Plumbing(), strategy=COMPILED)
     second = Simulator(_Plumbing(), strategy=COMPILED)
     assert first.compiled_source == second.compiled_source
+    # The sequential body is emitted specialised onto slots.
+    assert "def _mk_q0(self):" in first.compiled_source
+    assert "    def advance(" in first.compiled_source
+
+
+# -- specialised process bodies ------------------------------------------------------
+
+
+def _run(factory, strategy, cycles):
+    top = factory()
+    sim = Simulator(top, strategy=strategy)
+    recorder = Recorder(sim, top.all_signals())
+    sim.step(cycles)
+    return recorder.rows, sim
+
+
+def _compiled_matches_oracle(factory, cycles=12):
+    """Run ``factory()`` under compiled and fixpoint; require equal rows and
+    return the compiled simulator."""
+    rows, sim = _run(factory, COMPILED, cycles)
+    oracle, _ = _run(factory, FIXPOINT, cycles)
+    assert rows == oracle
+    assert all(type(value) is int for row in rows for value in row.values())
+    assert sim.analysis_misses == 0
+    return sim
+
+
+class _EarlyReturn(Component):
+    """A sequential body that returns early while a stall counter runs."""
+
+    def __init__(self):
+        super().__init__("early")
+        self.stall = self.state(4, init=2)
+        self.count = self.state(8)
+
+        @self.seq
+        def advance():
+            if self.stall.value:
+                self.stall.next = self.stall.value - 1
+                return
+            self.count.next = self.count.value + 1
+            if self.count.value % 3 == 2:
+                self.stall.next = 2
+
+
+class _Coerced(Component):
+    """``.next`` written from a bool and from a Bits wider than the target."""
+
+    def __init__(self):
+        super().__init__("coerced")
+        self.count = self.state(8)
+        self.flag = self.state(1)
+        self.odd = self.state(1)
+        self.low = self.state(4)
+
+        @self.seq
+        def advance():
+            done = bool(self.count.value > 20)
+            self.count.next = self.count.value + 7
+            self.flag.next = done
+            self.odd.next = self.count.value % 2 == 1
+            self.low.next = Bits(8, self.count.value) + 9
+
+
+class _BranchAlias(Component):
+    """A local bound to a different signal on each branch."""
+
+    def __init__(self):
+        super().__init__("alias")
+        self.sel = self.state(1)
+        self.a = self.state(8)
+        self.b = self.state(8, init=100)
+
+        @self.seq
+        def advance():
+            if self.sel.value:
+                target = self.a
+            else:
+                target = self.b
+            target.next = target.value + 1
+            self.sel.next = 1 - self.sel.value
+
+
+class _HelperWrite(Component):
+    """A helper method writes ``.next`` on the process's behalf."""
+
+    def __init__(self):
+        super().__init__("helper")
+        self.count = self.state(8)
+        self.echo = self.state(8)
+
+        @self.seq
+        def advance():
+            self.count.next = self.count.value + 1
+            self._mirror()
+
+    def _mirror(self):
+        self.echo.next = self.count.value * 2
+
+
+class _GuardedCallUnit(Component):
+    """A call unit (its helper call keeps it whole) in a guarded design."""
+
+    def __init__(self):
+        super().__init__("guardedcall")
+        self.a = self.state(8)
+        self.b = self.signal(8)
+        self.c = self.signal(8)
+
+        @self.comb
+        def scale():
+            self.b.next = self._tripled(self.a.value)
+
+        @self.comb
+        def murky():
+            self.c.next = self.b.value + _mystery_opaque()
+
+        @self.seq
+        def advance():
+            self.a.next = self.a.value + 1
+
+    def _tripled(self, value):
+        return value * 3
+
+
+class _NextRead(Component):
+    """A sequential body reads the pending value another one wrote."""
+
+    def __init__(self):
+        super().__init__("nextread")
+        self.count = self.state(8)
+        self.shadow = self.state(8)
+
+        @self.seq
+        def first():
+            self.count.next = self.count.value + 1
+
+        @self.seq
+        def second():
+            self.shadow.next = self.count.next + 10
+
+
+class _PythonState(Component):
+    """A sequential body reading Python-side state: an attribute a test
+    bench changes mid-run, and a closure cell a helper rebinds."""
+
+    def __init__(self):
+        super().__init__("pystate")
+        self.count = self.state(8)
+        self.step = 1
+        bonus = 0
+
+        def bump():
+            nonlocal bonus
+            bonus += 10
+
+        @self.seq
+        def advance():
+            self.count.next = self.count.value + self.step + bonus
+            bump()
+
+
+class _LoopRebound(Component):
+    """A local that names a memory on a loop's first pass and a plain list
+    on the second: the note from the first pass must not survive."""
+
+    def __init__(self):
+        super().__init__("looprebound")
+        self.mem = self.memory(4, 8, init=[1, 2, 3, 4])
+        self.words = [50, 60, 70, 80]
+        self.total = self.state(8)
+
+        @self.seq
+        def accumulate():
+            shadow = list(self.words)
+            table = self.mem
+            acc = 0
+            for i in range(2):
+                acc += table[i]
+                table = shadow
+            self.total.next = acc + self.total.value
+
+
+class _LambdaSeq(Component):
+    """A sequential process without readable source."""
+
+    def __init__(self):
+        super().__init__("lambdaseq")
+        self.count = self.state(8)
+        self.seq(eval("lambda sig: lambda: setattr(sig, 'next', sig.value + 1)")(
+            self.count))
+
+
+def test_specialised_body_keeps_early_return():
+    sim = _compiled_matches_oracle(_EarlyReturn, cycles=16)
+    source = sim.compiled_source
+    assert "def advance(" in source and "        return\n" in source
+    assert "._next = " in source
+    report = sim.compile_report
+    assert (report.n_specialised_procs, report.n_generic_procs) == (1, 0)
+
+
+def test_specialised_write_coerces_bool_and_bits_then_masks():
+    sim = _compiled_matches_oracle(_Coerced, cycles=40)
+    source = sim.compiled_source
+    assert "._next = int(done) & 1" in source
+    assert "._next = int(Bits(8, " in source and ") + 9) & 15" in source
+    # Statically an int: no int() around a compare of slots and literals.
+    assert "._next = (_s" in source and " == 1) & 1" in source
+    assert sim.compile_report.n_specialised_procs == 1
+
+
+def test_branch_bound_local_stays_a_property_access():
+    sim = _compiled_matches_oracle(_BranchAlias, cycles=8)
+    assert "target.next = target.value + 1" in sim.compiled_source
+
+
+def test_helper_write_still_commits():
+    sim = _compiled_matches_oracle(_HelperWrite, cycles=8)
+    assert "self._mirror()" in sim.compiled_source
+    top = sim.top
+    assert top.echo.value == 2 * (top.count.value - 1)
+
+
+def test_call_unit_specialised_inside_guarded_design():
+    sim = _compiled_matches_oracle(_GuardedCallUnit, cycles=8)
+    report = sim.compile_report
+    assert report.guarded
+    assert (report.n_call_procs, report.n_opaque_procs) == (1, 1)
+    assert report.n_specialised_procs == 2  # scale and advance
+    assert "._next = int(self._tripled(" in sim.compiled_source
+
+
+def test_next_read_in_sequential_body():
+    sim = _compiled_matches_oracle(_NextRead, cycles=8)
+    assert "._next + 10" in sim.compiled_source
+    assert sim.top.shadow.value == sim.top.count.value + 10
+
+
+def test_python_state_in_a_specialised_body_is_read_live():
+    rows = {}
+    for strategy in (FIXPOINT, COMPILED):
+        top = _PythonState()
+        sim = Simulator(top, strategy=strategy)
+        recorder = Recorder(sim, [top.count])
+        sim.step(3)
+        top.step = 5
+        sim.step(3)
+        rows[strategy] = recorder.rows
+    assert rows[COMPILED] == rows[FIXPOINT]
+    assert sim.compile_report.n_specialised_procs == 1
+
+
+def test_loop_rebound_local_keeps_its_python_subscript():
+    sim = _compiled_matches_oracle(_LoopRebound, cycles=3)
+    assert "acc += table[i]" in sim.compiled_source
+    assert sim.top.total.value == 3 * 61
+
+
+def _counted(func):
+    """A decorator whose wrapper does work of its own around ``func``."""
+    @functools.wraps(func)
+    def wrapper():
+        wrapper.calls += 1
+        func()
+    wrapper.calls = 0
+    return wrapper
+
+
+class _WrappedSeq(Component):
+    """``getsource`` of the wrapper returns the wrapped function's source."""
+
+    def __init__(self):
+        super().__init__("wrapped")
+        self.count = self.state(8)
+
+        @self.seq
+        @_counted
+        def advance():
+            self.count.next = self.count.value + 1
+
+        self.advance = advance
+
+
+def test_wrapped_process_is_called_as_written():
+    sim = _compiled_matches_oracle(_WrappedSeq, cycles=5)
+    assert sim.top.advance.calls == 5
+    assert sim.compile_report.n_generic_procs == 1
+
+
+def test_sequential_process_without_source_is_reported_generic():
+    sim = _compiled_matches_oracle(_LambdaSeq, cycles=5)
+    report = sim.compile_report
+    assert report.n_specialised_procs == 0
+    assert report.n_generic_procs == 1
+    assert "source unavailable" in report.generic_reasons[0]
+    assert "    _q0()" in sim.compiled_source
+    assert "1 generic" in report.summary()

@@ -2,8 +2,8 @@
 
 The event-driven scheduler and the compiled backend are optimisations, not
 semantics changes: on every design in ``repro.designs`` all strategies must
-produce identical pixel streams, identical cycle counts and identical
-per-cycle signal traces.  The fixpoint engine is the oracle because it
+produce identical pixel streams, identical cycle counts, identical
+per-cycle signal traces, final memories and FSM transition records.  The fixpoint engine is the oracle because it
 evaluates everything — it cannot miss a dependency.
 """
 
@@ -24,6 +24,7 @@ from repro.rtl import (
     COMPILED,
     EVENT,
     FIXPOINT,
+    FSM,
     Component,
     Recorder,
     SimulationError,
@@ -66,28 +67,34 @@ DESIGNS = {
 
 def trace_design(factory, expected, strategy):
     """Simulate a design sampling *every* signal each cycle; also return
-    the final contents of every memory."""
+    the final contents of every memory and the transitions every FSM
+    observed."""
     system = VideoSystem(factory(), frames=[FRAME])
     sim = Simulator(system, strategy=strategy)
     recorder = Recorder(sim, system.all_signals())
     sim.run_until(lambda: system.sink.count >= len(expected), 50_000)
     memories = [mem.dump() for mem in system.all_memories()]
-    return system.received_pixels(), sim.cycles, recorder.rows, memories, sim
+    transitions = [(fsm.name, fsm.observed_transitions())
+                   for comp in system.walk() for fsm in vars(comp).values()
+                   if isinstance(fsm, FSM)]
+    return (system.received_pixels(), sim.cycles, recorder.rows, memories,
+            transitions, sim)
 
 
 @pytest.mark.parametrize("strategy", OPTIMISED)
 @pytest.mark.parametrize("label", sorted(DESIGNS))
 def test_traces_identical_to_fixpoint_oracle(label, strategy):
     factory, expected = DESIGNS[label]
-    pixels, cycles, rows, memories, sim = trace_design(factory, expected,
-                                                       strategy)
-    fp_pixels, fp_cycles, fp_rows, fp_memories, _ = trace_design(
-        factory, expected, FIXPOINT)
+    pixels, cycles, rows, memories, transitions, sim = trace_design(
+        factory, expected, strategy)
+    fp_pixels, fp_cycles, fp_rows, fp_memories, fp_transitions, _ = \
+        trace_design(factory, expected, FIXPOINT)
     assert pixels == expected
     assert pixels == fp_pixels
     assert cycles == fp_cycles
     assert rows == fp_rows
     assert memories == fp_memories
+    assert transitions == fp_transitions
     if strategy == COMPILED:
         assert sim.analysis_misses == 0, \
             "static analysis under-approximated a write set"
