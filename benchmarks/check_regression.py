@@ -34,9 +34,7 @@ import sys
 #: from the raw cycles/sec numbers so a corrupted "speedup" section cannot
 #: mask a regression.
 FLOORS = [
-    ("saa2vga_fifo", "event", "fixpoint", 2.0),
     ("saa2vga_fifo", "compiled", "fixpoint", 2.0),
-    ("saa2vga_fifo", "compiled", "event", 1.2),
     ("blur_pattern", "compiled", "fixpoint", 1.5),
     # Telemetry (repro.obs): compiled throughput measured after a tracing/
     # profiling enable+disable cycle must stay within 3% of the plain

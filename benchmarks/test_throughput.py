@@ -28,7 +28,7 @@ from repro.designs import (
     build_saa2vga_pattern,
     run_stream_through,
 )
-from repro.rtl import COMPILED, EVENT, FIXPOINT, Simulator
+from repro.rtl import COMPILED, FIXPOINT, Simulator
 from repro.video import flatten, golden_blur3x3, random_frame
 
 FRAME_W, FRAME_H = scaled((24, 12), (12, 6))
@@ -171,17 +171,6 @@ def _speedup(design: str, fast: str, slow: str) -> float:
     return ratio
 
 
-def test_event_scheduler_speedup_over_fixpoint(benchmark):
-    """The event-driven scheduler must beat the fixpoint oracle clearly.
-
-    Measured ~3.5x on the reference container; 2.0 leaves noise headroom
-    while still catching any regression that loses the structural win.
-    """
-    speedup = benchmark.pedantic(_speedup, args=("saa2vga_fifo", EVENT, FIXPOINT),
-                                 rounds=1, iterations=1)
-    assert speedup >= 2.0
-
-
 def test_compiled_backend_speedup_over_fixpoint(benchmark):
     """The compiled backend must beat the fixpoint oracle at least 2x.
 
@@ -192,19 +181,6 @@ def test_compiled_backend_speedup_over_fixpoint(benchmark):
                                  args=("saa2vga_fifo", COMPILED, FIXPOINT),
                                  rounds=1, iterations=1)
     assert speedup >= 2.0
-
-
-def test_compiled_backend_beats_event_scheduler(benchmark):
-    """Specialised straight-line settling must also beat event scheduling.
-
-    Measured ~2.3x on the reference container; guarded at 1.2x so a loaded
-    CI host cannot flake the assertion while a real regression (losing the
-    single-pass structure) still trips it.
-    """
-    speedup = benchmark.pedantic(_speedup,
-                                 args=("saa2vga_fifo", COMPILED, EVENT),
-                                 rounds=1, iterations=1)
-    assert speedup >= 1.2
 
 
 def _obs_off_cps(design: str) -> float:

@@ -4,7 +4,7 @@
 Where ``design_space_explorer.py`` characterises one container in isolation,
 this example sweeps *whole designs*: every (design, binding, pixel format,
 frame size, capacity) combination is expanded into a grid, each point is
-simulated end-to-end through the event-driven simulator, verified against
+simulated end-to-end through the compiled simulator, verified against
 its golden model, and characterised for area/clock/power — with memoization
 so a repeated point costs nothing.
 

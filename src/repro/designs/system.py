@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..rtl import EVENT, Component, Simulator
+from ..rtl import COMPILED, Component, Simulator
 from ..video import Frame, VideoStreamSink, VideoStreamSource
 
 
@@ -92,7 +92,7 @@ class VideoSystem(Component):
 
     def simulate(self, expected_outputs: int, max_cycles: int = 2_000_000,
                  simulator: Optional[Simulator] = None,
-                 strategy: str = EVENT) -> Simulator:
+                 strategy: str = COMPILED) -> Simulator:
         """Run until ``expected_outputs`` pixels have reached the sink.
 
         Returns the simulator so callers can inspect cycle counts.  Raises
@@ -117,7 +117,7 @@ def run_stream_through(design: Component, frame: Frame,
                        expected_outputs: Optional[int] = None,
                        max_cycles: int = 2_000_000,
                        source_stall: int = 0, sink_stall: int = 0,
-                       strategy: str = EVENT) -> dict:
+                       strategy: str = COMPILED) -> dict:
     """Convenience one-shot: push ``frame`` through ``design`` and collect results.
 
     Returns a dict with the received pixels, the cycle count and the achieved

@@ -19,7 +19,7 @@ from .errors import (
 )
 from .fsm import FSM
 from .signal import REG, WIRE, Signal, SignalBundle, register, wire
-from .simulator import COMPILED, EVENT, FIXPOINT, STRATEGIES, Simulator, pulse
+from .simulator import COMPILED, FIXPOINT, STRATEGIES, Simulator, pulse
 from .trace import Recorder, VCDWriter
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "WIRE",
     "Simulator",
     "COMPILED",
-    "EVENT",
     "FIXPOINT",
     "STRATEGIES",
     "pulse",

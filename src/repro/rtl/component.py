@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional
 
-from . import signal as _signal_state
 from .errors import ElaborationError
 from .signal import REG, WIRE, Signal
 
@@ -48,17 +47,13 @@ class Memory:
         self._data = [int(v) & self._mask for v in contents]
         self._data += [0] * (depth - len(self._data))
         self._init = list(self._data)
-        #: Scheduler notified on writes (event-driven simulation).  Sensitivity
-        #: is whole-memory: any write wakes every process that read the array.
+        #: Compiled simulator notified on writes, or ``None``.
         self._sched = None
 
     def __len__(self) -> int:
         return self.depth
 
     def __getitem__(self, addr: int) -> int:
-        reads = _signal_state._active_reads
-        if reads is not None:
-            reads.add(self)
         return self._data[int(addr) % self.depth]
 
     def __setitem__(self, addr: int, value: int) -> None:
@@ -219,8 +214,8 @@ class Component:
     def comb(self, func: Process) -> Process:
         """Register (or decorate) a combinational process.
 
-        The event-driven scheduler infers the process's input set by
-        tracing its reads on every evaluation, so nothing is declared.
+        The compiled strategy infers the process's input set by statically
+        analysing its source, so nothing is declared.
         """
         self._comb_procs.append(func)
         return func

@@ -18,7 +18,6 @@ Two flavours exist:
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 from .bits import Bits, mask
 from .errors import WidthError
@@ -27,14 +26,6 @@ WIRE = "wire"
 REG = "reg"
 
 _signal_ids = itertools.count()
-
-#: Read-trace hook used by the event-driven scheduler.  While a combinational
-#: process is being evaluated the scheduler installs a set here; every
-#: :attr:`Signal.value` read (and every :class:`~.component.Memory` indexed
-#: read) records itself into it, yielding the process's dynamic sensitivity
-#: list.  ``None`` outside traced evaluations, so the fixpoint strategy and
-#: test benches pay only a None-check per read.
-_active_reads: Optional[set] = None
 
 
 class Signal:
@@ -69,7 +60,7 @@ class Signal:
         self._value = self.init
         self._next = self.init
         self._uid = next(_signal_ids)
-        #: Scheduler this signal notifies on writes (event-driven simulation).
+        #: Compiled simulator this signal notifies on writes, or ``None``.
         self._sched = None
 
     # -- value access -------------------------------------------------------
@@ -77,8 +68,6 @@ class Signal:
     @property
     def value(self) -> int:
         """The committed value (what other processes observe this cycle)."""
-        if _active_reads is not None:
-            _active_reads.add(self)
         return self._value
 
     @property

@@ -1,4 +1,4 @@
-"""Cycle-accurate simulator with event-driven and fixpoint settle strategies.
+"""Cycle-accurate simulator with compiled and fixpoint settle strategies.
 
 Every synchronous design in the reproduced paper is a collection of clocked
 FSMs and memories connected by combinational glue.  The simulator therefore
@@ -15,26 +15,7 @@ uses a two-phase evaluation per clock cycle:
 
 Two settle strategies implement that contract:
 
-``strategy="event"`` (the default)
-    Sensitivity-based event-driven scheduling, the levelized/event-driven
-    discipline of Verilator-class simulators.  Each combinational process's
-    input set is inferred dynamically by tracing the :class:`Signal` values
-    and :class:`Memory` words it actually reads during evaluation; commits
-    then wake only the processes sensitive to the signals that changed.  The
-    sensitivity list is refreshed on *every* evaluation, which makes the
-    scheme exact rather than approximate: a process's outputs are a function
-    only of the values it read last time, so if none of those changed,
-    re-evaluating it cannot produce different results.  (This is the dynamic
-    sensitivity of SystemC/VHDL processes, not a static over-approximation.)
-
-``strategy="fixpoint"``
-    The classic evaluate-everything discipline: all combinational processes
-    are re-evaluated each delta iteration until no signal changes.  Kept as a
-    fallback and as a differential-testing oracle — all strategies must
-    produce cycle-identical traces on every design
-    (``tests/rtl/test_strategy_equivalence.py``).
-
-``strategy="compiled"``
+``strategy="compiled"`` (the default)
     Per-design specialisation: the combinational network is statically
     analysed (:mod:`repro.rtl.compile`), topologically ordered and emitted
     as one straight-line Python function with slot-indexed signal access,
@@ -48,28 +29,33 @@ Two settle strategies implement that contract:
     convergence loop, so the strategy is never wrong, merely slower on
     such designs.
 
-All strategies observe identical two-phase semantics: by the end of a settle
+``strategy="fixpoint"``
+    The classic evaluate-everything discipline: all combinational processes
+    are re-evaluated each delta iteration until no signal changes.  Kept as
+    the differential-testing oracle — the compiled strategy must produce
+    cycle-identical traces on every design
+    (``tests/rtl/test_strategy_equivalence.py``).
+
+Both strategies observe identical two-phase semantics: by the end of a settle
 the network is at the same fixed point, so the engines agree cycle-for-cycle.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, List, Optional
 
 from ..obs import profile as _obs_profile
 from ..obs import tracing as _obs_tracing
 from ..obs.metrics import REGISTRY
-from . import signal as _signal_state
 from .component import Component, Memory
 from .errors import CombinationalLoopError, SimulationError
 from .signal import Signal
 
 #: Settle-strategy names accepted by :class:`Simulator`.
-EVENT = "event"
 FIXPOINT = "fixpoint"
 COMPILED = "compiled"
-STRATEGIES = (EVENT, FIXPOINT, COMPILED)
+STRATEGIES = (FIXPOINT, COMPILED)
 
 
 class Simulator:
@@ -86,9 +72,8 @@ class Simulator:
     max_cycles:
         A global safety limit for :meth:`run_until`.
     strategy:
-        ``"event"`` (default) for sensitivity-based event-driven settling,
-        ``"fixpoint"`` for the evaluate-everything oracle, or ``"compiled"``
-        for per-design specialised straight-line code.
+        ``"compiled"`` (default) for per-design specialised straight-line
+        code, or ``"fixpoint"`` for the evaluate-everything oracle.
     verify:
         Only meaningful with ``strategy="compiled"``: after every settle,
         re-run the fixpoint oracle and raise if the compiled schedule left
@@ -96,7 +81,7 @@ class Simulator:
     """
 
     def __init__(self, top: Component, max_settle: int = 64,
-                 max_cycles: int = 10_000_000, strategy: str = EVENT,
+                 max_cycles: int = 10_000_000, strategy: str = COMPILED,
                  verify: bool = False) -> None:
         if strategy not in STRATEGIES:
             raise SimulationError(
@@ -123,14 +108,20 @@ class Simulator:
         profiler = _obs_profile.active()
         if profiler is not None:
             profiler.record_sim(strategy)
+        # Detach any compiled simulator a previous construction left on this
+        # hierarchy, so writes stop feeding its stale queue.
+        self._invalidate_previous()
         if strategy == COMPILED:
             from .compile import compile_design
 
-            self._invalidate_previous()
             self._written: List[Signal] = []
             self._dirty = True
             for sig in self._signals:
                 sig._sched = self
+                # Writes made before the simulator existed (legal two-phase
+                # pokes) predate the write hook; queue them so the initial
+                # settle commits them exactly like the fixpoint strategy's
+                # commit-everything pass would.
                 if sig._next != sig._value:
                     self._written.append(sig)
             for mem in self._memories:
@@ -147,36 +138,14 @@ class Simulator:
             self.compiled_source = self._program.source
             #: :class:`~repro.rtl.compile.emit.CompileReport` for this design.
             self.compile_report = self._program.report
-        elif strategy == EVENT:
-            # Deterministic evaluation order within a delta wave: processes
-            # run in registration order, matching the fixpoint strategy.
-            self._proc_index = {proc: i for i, proc in enumerate(self._comb)}
-            self._proc_reads: Dict[Callable, Set] = {}
-            self._fanout: Dict[object, Set[Callable]] = {}
-            self._written: List[Signal] = []
-            self._pending: Set[Callable] = set(self._comb)
-            self._invalidate_previous()
-            for sig in self._signals:
-                sig._sched = self
-                # Writes made before the simulator existed (legal two-phase
-                # pokes) predate the notification hooks; queue them so the
-                # initial settle commits them exactly like the fixpoint
-                # strategy's commit-everything pass would.
-                if sig._next != sig._value:
-                    self._written.append(sig)
-            for mem in self._memories:
-                mem._sched = self
         else:
-            # Detach any scheduler a previous event-driven simulator left on
-            # this hierarchy, so writes stop feeding its stale queues.
-            self._invalidate_previous()
             for sig in self._signals:
                 sig._sched = None
             for mem in self._memories:
                 mem._sched = None
         #: False once another simulator has attached to the same hierarchy;
-        #: an event-driven simulator without its notification hooks would
-        #: silently return stale values, so stale use raises instead.
+        #: a compiled simulator without its write hooks would silently
+        #: return stale values, so stale use raises instead.
         self._attached = True
         # Initial settle so combinational outputs are valid before cycle 0.
         self._settle()
@@ -184,7 +153,7 @@ class Simulator:
     def _invalidate_previous(self) -> None:
         """Mark any simulator currently hooked to these signals as stale.
 
-        Only event-driven simulators depend on the per-signal hooks, so only
+        Only compiled simulators depend on the per-signal hooks, so only
         they are invalidated; a fixpoint simulator over the same hierarchy
         keeps working regardless of who is attached.
         """
@@ -197,7 +166,7 @@ class Simulator:
     def _check_attached(self) -> None:
         if not self._attached:
             raise SimulationError(
-                "this event-driven simulator was detached: another Simulator "
+                "this compiled simulator was detached: another Simulator "
                 "was constructed over the same component hierarchy; build a "
                 "new simulator (or keep one per hierarchy)")
 
@@ -253,29 +222,19 @@ class Simulator:
         raise SimulationError(
             f"cannot remove watcher {func!r}: it is not registered")
 
-    # -- scheduler notifications (event strategy) --------------------------------
+    # -- write-hook notifications (compiled strategy) ----------------------------
 
     def notify_changed(self, sig: Signal) -> None:
         """A signal's committed value changed outside the commit discipline.
 
-        Called by :meth:`Signal.force` and :meth:`Signal.reset` so test-bench
-        pokes wake the processes that depend on the signal.
+        Called by :meth:`Signal.force` and :meth:`Signal.reset` so the next
+        clock edge re-settles before its sequential processes run.
         """
-        if self._strategy == COMPILED:
-            self._dirty = True
-            return
-        procs = self._fanout.get(sig)
-        if procs:
-            self._pending.update(procs)
+        self._dirty = True
 
     def notify_memory(self, mem: Memory) -> None:
-        """A memory word was written; wake every process that read the array."""
-        if self._strategy == COMPILED:
-            self._dirty = True
-            return
-        procs = self._fanout.get(mem)
-        if procs:
-            self._pending.update(procs)
+        """A memory word was written; the next clock edge re-settles first."""
+        self._dirty = True
 
     def _raise_comb_loop(self) -> None:
         """Raise the standard non-convergence error (all strategies)."""
@@ -337,76 +296,6 @@ class Simulator:
                 return iteration
         self._raise_comb_loop()
 
-    def _evaluate_traced(self, proc: Callable[[], None]) -> None:
-        """Evaluate ``proc`` recording every Signal/Memory it reads.
-
-        The recorded set *replaces* the process's previous sensitivity list:
-        dynamic last-read sensitivity is exact for deterministic processes,
-        and refreshing it every evaluation means branch changes (a newly
-        taken path reading new signals) are always discovered — the branch
-        condition itself was read last time, so its change re-triggers the
-        process.
-        """
-        reads: Set = set()
-        _signal_state._active_reads = reads
-        try:
-            proc()
-        finally:
-            _signal_state._active_reads = None
-        old = self._proc_reads.get(proc)
-        if old != reads:
-            fanout = self._fanout
-            if old:
-                for obj in old - reads:
-                    fanout[obj].discard(proc)
-                new = reads - old
-            else:
-                new = reads
-            for obj in new:
-                procs = fanout.get(obj)
-                if procs is None:
-                    fanout[obj] = procs = set()
-                procs.add(proc)
-            self._proc_reads[proc] = reads
-
-    def _flush_written(self) -> None:
-        """Commit every pending signal write and wake the fanout of changes."""
-        written = self._written
-        if not written:
-            return
-        self._written = []
-        pending = self._pending
-        fanout = self._fanout
-        for sig in written:
-            nxt = sig._next
-            if nxt != sig._value:
-                sig._value = nxt
-                procs = fanout.get(sig)
-                if procs:
-                    pending.update(procs)
-
-    def _settle_event(self) -> int:
-        """Run only the processes whose inputs changed, wave by wave."""
-        self._check_attached()
-        pending = self._pending
-        order = self._proc_index
-        evaluate = self._evaluate_traced
-        # Commit test-bench ``sig.next`` pokes made since the last settle so
-        # they wake their fanout, mirroring the fixpoint strategy's
-        # commit-after-first-iteration behaviour.
-        self._flush_written()
-        iteration = 0
-        while pending:
-            iteration += 1
-            if iteration > self.max_settle:
-                self._raise_comb_loop()
-            wave = sorted(pending, key=order.__getitem__)
-            pending.clear()
-            for proc in wave:
-                evaluate(proc)
-            self._flush_written()
-        return iteration
-
     def _settle(self) -> int:
         """Run combinational processes to a fixed point.
 
@@ -414,8 +303,6 @@ class Simulator:
         """
         if self._strategy == COMPILED:
             return self._program.settle(self)
-        if self._strategy == EVENT:
-            return self._settle_event()
         return self._settle_fixpoint()
 
     def step(self, cycles: int = 1) -> None:
@@ -446,21 +333,6 @@ class Simulator:
             cycle = self._program.cycle
             for _ in range(cycles):
                 rounds += cycle(self)
-            return rounds
-        if self._strategy == EVENT:
-            settle = self._settle_event
-            flush = self._flush_written
-            seq = self._seq
-            watchers = self._watchers
-            for _ in range(cycles):
-                rounds += settle()
-                for proc in seq:
-                    proc()
-                flush()
-                rounds += settle()
-                self._cycles += 1
-                for watcher in watchers:
-                    watcher(self._cycles)
             return rounds
         for _ in range(cycles):
             rounds += self._settle_fixpoint()
@@ -544,13 +416,7 @@ class Simulator:
         """
         self.top.reset_state()
         self._cycles = 0
-        if self._strategy == EVENT:
-            # Signal/memory resets jumped values without the commit
-            # discipline; re-seed every process and drop stale bookkeeping so
-            # the initial settle re-traces from scratch.
-            self._written = []
-            self._pending = set(self._comb)
-        elif self._strategy == COMPILED:
+        if self._strategy == COMPILED:
             # Resets restored both committed and pending values, so stale
             # queue entries are harmless no-ops; re-run the full schedule.
             self._written = []

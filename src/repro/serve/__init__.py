@@ -30,11 +30,14 @@ The explore layer made design-space sweeps cheap; this package makes them
     streamed NDJSON events, ``GET /results/<key>`` straight from the store)
     and its urllib client.  ``python -m repro.explore --server URL`` is one
     client of the same API; ``python -m repro.serve`` runs the service.
+    Neither is imported by this package: import :class:`SweepServer` from
+    ``repro.serve.server`` and :class:`SweepClient` / :class:`ServiceError`
+    from ``repro.serve.client``, so code that never speaks HTTP never loads
+    the HTTP stack.
 
 See ``docs/exploration.md`` for the operator's guide.
 """
 
-from .client import ServiceError, SweepClient
 from .jobs import (
     JobManager,
     SearchJob,
@@ -54,7 +57,6 @@ from .records import (
     verify_record,
 )
 from .store import SCHEMA_VERSION, ResultStore
-from .server import SweepServer
 
 __all__ = [
     "ResultStore",
@@ -65,9 +67,6 @@ __all__ = [
     "SearchJob",
     "diff_points",
     "split_shards",
-    "SweepServer",
-    "SweepClient",
-    "ServiceError",
     "UnstorablePointError",
     "point_to_dict",
     "point_from_dict",

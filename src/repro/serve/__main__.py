@@ -17,7 +17,6 @@ import argparse
 import signal
 import sys
 
-from .server import SweepServer
 from .store import ResultStore
 
 
@@ -57,6 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from .server import SweepServer
+
     args = build_parser().parse_args(argv)
     store = ResultStore(args.store, max_entries=args.max_entries)
     server = SweepServer(

@@ -4,7 +4,7 @@
 can any script be — the client speaks only the HTTP/JSON API, so it works
 against a server in another process, container or machine::
 
-    from repro.serve import SweepClient
+    from repro.serve.client import SweepClient
 
     client = SweepClient("http://127.0.0.1:8377")
     submitted = client.submit({"spec": {"designs": ["saa2vga"],

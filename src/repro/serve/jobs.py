@@ -244,42 +244,25 @@ def _worker_main(conn, worker_id: int) -> None:
 # Jobs
 # ---------------------------------------------------------------------------
 
-class SweepJob:
-    """One submitted sweep: bookkeeping, results and the event log.
+class _Job:
+    """State, event log and completion signal shared by every job kind.
 
     All mutation happens under the owning manager's lock; readers go
-    through the snapshot methods (:meth:`progress`, :meth:`events_since`,
-    :meth:`ordered_records`) which take the same lock.
+    through snapshot methods that take the same lock.  Each kind adds
+    ``progress()``, ``ordered_records()`` and ``trace_records()``, the
+    rest of what the HTTP layer reads, so sweeps and searches share one
+    manager table and one ``/sweeps/<id>/events?follow=1`` protocol.
     """
 
-    def __init__(self, job_id: str, plan: SweepPlan, config: SweepConfig,
-                 lock: threading.RLock) -> None:
+    def __init__(self, job_id: str, config, lock: threading.RLock) -> None:
         self.id = job_id
         self.config = config
-        self.keys = list(plan.keys)
         self.state = SUBMITTED
-        self.results: Dict[str, dict] = dict(plan.cached)
-        self.failures: Dict[str, dict] = {}
-        self.cached_keys = frozenset(plan.cached)
-        self.unique_keys: List[str] = []
-        seen = set()
-        for key in self.keys:
-            if key not in seen:
-                seen.add(key)
-                self.unique_keys.append(key)
         self.created_at = time.time()
         self.finished_at: Optional[float] = None
-        #: Wall seconds per completed shard attempt (dispatch -> reply),
-        #: feeding the ``timing`` block of :meth:`progress`.
-        self.shard_seconds: List[float] = []
         self.events: List[dict] = []
-        #: Merged sweep-wide trace (``config.trace`` jobs only).
-        self.trace: Optional[_distributed.JobTrace] = \
-            _distributed.JobTrace(job_id) if config.trace else None
         self._lock = lock
         self._terminal = threading.Event()
-
-    # -- event log ---------------------------------------------------------
 
     def emit(self, event: str, **data) -> None:
         entry = {"seq": len(self.events), "event": event,
@@ -290,11 +273,37 @@ class SweepJob:
         with self._lock:
             return list(self.events[index:])
 
-    # -- status ------------------------------------------------------------
-
     @property
     def done(self) -> bool:
         return self.state in _TERMINAL
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Block until the job reaches ``done``/``failed``."""
+        return self._terminal.wait(timeout)
+
+
+class SweepJob(_Job):
+    """One submitted sweep: bookkeeping and results."""
+
+    def __init__(self, job_id: str, plan: SweepPlan, config: SweepConfig,
+                 lock: threading.RLock) -> None:
+        super().__init__(job_id, config, lock)
+        self.keys = list(plan.keys)
+        self.results: Dict[str, dict] = dict(plan.cached)
+        self.failures: Dict[str, dict] = {}
+        self.cached_keys = frozenset(plan.cached)
+        self.unique_keys: List[str] = []
+        seen = set()
+        for key in self.keys:
+            if key not in seen:
+                seen.add(key)
+                self.unique_keys.append(key)
+        #: Wall seconds per completed shard attempt (dispatch -> reply),
+        #: feeding the ``timing`` block of :meth:`progress`.
+        self.shard_seconds: List[float] = []
+        #: Merged sweep-wide trace (``config.trace`` jobs only).
+        self.trace: Optional[_distributed.JobTrace] = \
+            _distributed.JobTrace(job_id) if config.trace else None
 
     def progress(self) -> Dict[str, object]:
         """The status payload ``GET /sweeps/<id>`` serves."""
@@ -367,35 +376,21 @@ class SweepJob:
                 return None
             return self.trace.export_records()
 
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until the job reaches ``done``/``failed``."""
-        return self._terminal.wait(timeout)
 
-
-class SearchJob:
+class SearchJob(_Job):
     """One coverage-directed search job (``POST /search``).
 
-    Duck-types the :class:`SweepJob` surface the HTTP layer reads —
-    ``progress()``, ``events_since()``, ``ordered_records()``, ``wait()``,
-    ``done``, ``state``, ``trace_records()`` — so search jobs register in
-    the same manager table and stream through the existing
-    ``/sweeps/<id>/events?follow=1`` protocol unchanged.  The search
-    itself is feedback-driven and sequential, so it runs on one manager-
-    side thread; the manager's store backs its session memo, making
-    repeat proposals free across jobs and processes.
+    The search itself is feedback-driven and sequential, so it runs on one
+    manager-side thread; the manager's store backs its session memo,
+    making repeat proposals free across jobs and processes.
     """
 
     def __init__(self, job_id: str, config, frontier_spec: Optional[dict],
                  store: Optional[ResultStore],
                  lock: threading.RLock) -> None:
-        self.id = job_id
-        self.config = config
+        super().__init__(job_id, config, lock)
         self.frontier_spec = frontier_spec
         self.store = store
-        self.state = SUBMITTED
-        self.created_at = time.time()
-        self.finished_at: Optional[float] = None
-        self.events: List[dict] = []
         #: Final ``repro-search-v1`` report dict (set at completion).
         self.report: Optional[dict] = None
         #: Final ``repro-frontier-v1`` dict (set when a frontier ran).
@@ -404,8 +399,6 @@ class SearchJob:
         self._sessions = 0
         self._coverage: Dict[str, float] = {}
         self._frontier_size = 0
-        self._lock = lock
-        self._terminal = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name=f"search-job-{job_id}")
 
@@ -413,20 +406,7 @@ class SearchJob:
         self._thread.start()
         return self
 
-    # -- the SweepJob surface ----------------------------------------------
-
-    def emit(self, event: str, **data) -> None:
-        entry = {"seq": len(self.events), "event": event,
-                 "time": time.time(), **data}
-        self.events.append(entry)
-
-    def events_since(self, index: int) -> List[dict]:
-        with self._lock:
-            return list(self.events[index:])
-
-    @property
-    def done(self) -> bool:
-        return self.state in _TERMINAL
+    # -- the job surface ---------------------------------------------------
 
     def progress(self) -> Dict[str, object]:
         with self._lock:
@@ -460,9 +440,6 @@ class SearchJob:
 
     def trace_records(self) -> Optional[List[dict]]:
         return None  # search jobs are untraced; the route 404s
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        return self._terminal.wait(timeout)
 
     # -- execution ---------------------------------------------------------
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..core import CopyAlgorithm, make_container, make_iterator
-from ..rtl import EVENT, Component
+from ..rtl import COMPILED, Component
 from ..video import flatten, random_frame
 from .estimator import EstimateReport, ResourceEstimator
 from .target import TargetBoard, default_target
@@ -93,7 +93,7 @@ def measure_stream_cycles_per_element(binding: str, width: int = 8,
                                       capacity: int = 64, elements: int = 64,
                                       extra_params: Optional[dict] = None,
                                       max_cycles: int = 200_000,
-                                      strategy: str = EVENT) -> float:
+                                      strategy: str = COMPILED) -> float:
     """Simulate a copy of ``elements`` through a buffer pair and report cycles/element."""
     from ..designs.system import run_stream_through  # local import avoids a cycle
 

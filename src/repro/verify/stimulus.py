@@ -16,8 +16,7 @@ The session loop drives the two-phase handshake explicitly::
     sim.step()               # clock edge
 
 Drivers use :meth:`Signal.force`, the sanctioned test-bench poke, so they
-work identically under the fixpoint, event-driven and compiled settle
-strategies.
+work identically under the fixpoint and compiled settle strategies.
 """
 
 from __future__ import annotations

@@ -50,11 +50,12 @@ class VideoStreamSource(Component):
         self._index = self.state(32, name=f"{name}_index")
         self._stall = self.state(16, name=f"{name}_stall")
         self.pixels_sent = self.state(32, name=f"{name}_pixels_sent")
-        # Sensitivity anchor for the event-driven scheduler: ``drive`` depends
-        # on the *length* of the Python-level pixel queue, which signal
-        # tracing cannot see.  The anchor signal is read by ``drive`` (so the
-        # scheduler records the dependency) and forced whenever the queue
-        # grows (so ``drive`` is woken); its value itself is never used.
+        # Sensitivity anchor: ``drive`` depends on the *length* of the
+        # Python-level pixel queue, which no settle schedule can see.  The
+        # anchor signal is read by ``drive`` (so the compiled schedule
+        # records the dependency) and forced whenever the queue grows (so
+        # the next clock edge re-settles and ``drive`` sees the new pixels);
+        # its value itself is never used.
         self._queued = self.signal(32, init=len(self._pixels) & 0xFFFFFFFF,
                                    name=f"{name}_queued")
 

@@ -12,7 +12,8 @@ import repro.verify.__main__ as verify_cli
 from repro.explore.__main__ import main as explore_main
 from repro.obs import export, profile, tracing
 from repro.search.__main__ import main as search_main
-from repro.serve import ResultStore, SweepServer
+from repro.serve import ResultStore
+from repro.serve.server import SweepServer
 
 
 @pytest.fixture(autouse=True)

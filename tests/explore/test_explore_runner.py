@@ -18,7 +18,7 @@ from repro.explore import (
     results_table,
 )
 from repro.obs.metrics import REGISTRY
-from repro.rtl import COMPILED, EVENT, FIXPOINT
+from repro.rtl import COMPILED, FIXPOINT
 
 SMALL_GRID = dict(designs=("saa2vga",), pixel_formats=("gray8",),
                   frame_sizes=((8, 4),), capacities=(8, 16))
@@ -194,7 +194,7 @@ def test_process_pool_raises_when_a_point_fails():
 
 def test_auto_strategy_resolves_to_fastest_backend():
     assert resolve_strategy(AUTO) == COMPILED
-    assert resolve_strategy(EVENT) == EVENT
+    assert resolve_strategy(COMPILED) == COMPILED
     assert resolve_strategy(FIXPOINT) == FIXPOINT
     with pytest.raises(ValueError):
         resolve_strategy("levelized")
@@ -203,41 +203,42 @@ def test_auto_strategy_resolves_to_fastest_backend():
 
 
 def test_runner_default_strategy_is_auto_and_agrees_with_event():
+    """The default (auto) runner agrees with the fixpoint oracle."""
     points = expand_grid(**SMALL_GRID)
     auto_results = ExplorationRunner().run(points)
-    event_results = ExplorationRunner(strategy=EVENT).run(points)
-    for auto_res, event_res in zip(auto_results, event_results):
-        assert auto_res.verified and event_res.verified
-        assert auto_res.cycles == event_res.cycles
-        assert auto_res.throughput == event_res.throughput
+    oracle_results = ExplorationRunner(strategy=FIXPOINT).run(points)
+    for auto_res, oracle_res in zip(auto_results, oracle_results):
+        assert auto_res.verified and oracle_res.verified
+        assert auto_res.cycles == oracle_res.cycles
+        assert auto_res.throughput == oracle_res.throughput
 
 
 def test_memo_keys_include_strategy(tmp_path):
-    """Results of one strategy are never served to another: an event and a
-    compiled runner over one store each simulate, and a second event
-    runner is served the event entries."""
+    """Results of one strategy are never served to another: a fixpoint and
+    a compiled runner over one store each simulate, and a second fixpoint
+    runner is served the fixpoint entries."""
     points = expand_grid(**SMALL_GRID)
     store = str(tmp_path / "store")
-    event = ExplorationRunner(strategy=EVENT, store=store)
-    event_results = event.run(points)
-    assert event.evaluations == len(points)
+    fixpoint = ExplorationRunner(strategy=FIXPOINT, store=store)
+    fixpoint_results = fixpoint.run(points)
+    assert fixpoint.evaluations == len(points)
 
     compiled = ExplorationRunner(strategy=COMPILED, store=store)
     compiled_results = compiled.run(points)
     assert compiled.evaluations == len(points), \
-        "compiled results must not be served from the event entries"
+        "compiled results must not be served from the fixpoint entries"
     assert compiled.store_hits == 0
-    assert [event.config.key_for(p) for p in points] != \
+    assert [fixpoint.config.key_for(p) for p in points] != \
         [compiled.config.key_for(p) for p in points]
     # Results agree (the strategies are equivalent), but are distinct objects
     # because each was simulated under its own strategy.
-    for ev, cp in zip(event_results, compiled_results):
-        assert ev is not cp
-        assert ev.cycles == cp.cycles
+    for fp, cp in zip(fixpoint_results, compiled_results):
+        assert fp is not cp
+        assert fp.cycles == cp.cycles
 
-    # Back to event: the original event results are served from the store.
-    again = ExplorationRunner(strategy=EVENT, store=store)
-    assert again.run(points) == event_results
+    # Back to fixpoint: the original fixpoint results come from the store.
+    again = ExplorationRunner(strategy=FIXPOINT, store=store)
+    assert again.run(points) == fixpoint_results
     assert again.store_hits == len(points) and again.evaluations == 0
 
 

@@ -47,7 +47,7 @@ def _telemetry_off():
     profile.disable()
 
 
-@pytest.mark.parametrize("strategy", ["event", "fixpoint", "compiled"])
+@pytest.mark.parametrize("strategy", ["fixpoint", "compiled"])
 def test_disabled_step_emits_zero_spans_and_never_calls_span(
         strategy, monkeypatch):
     sim = Simulator(Counter(), strategy=strategy)
@@ -63,7 +63,7 @@ def test_disabled_step_emits_zero_spans_and_never_calls_span(
     assert tracing.stats()["recorded"] == 0
 
 
-@pytest.mark.parametrize("strategy", ["event", "compiled"])
+@pytest.mark.parametrize("strategy", ["fixpoint", "compiled"])
 def test_disabled_step_allocates_nothing_from_obs(strategy):
     """tracemalloc, filtered to repro/obs/*.py: zero new allocations."""
     obs_dir = os.path.dirname(repro.obs.__file__)

@@ -21,10 +21,8 @@ DESIGNS = {
 #: (design, strategy) -> (sims, steps, cycles, settles, fallback).
 ROWS = {
     ("fifo", "compiled"): (1, 66, 102, 102, 0),
-    ("fifo", "event"): (1, 66, 102, 612, 0),
     ("fifo", "fixpoint"): (1, 66, 102, 816, 0),
     ("blur", "compiled"): (1, 114, 150, 150, 0),
-    ("blur", "event"): (1, 114, 150, 1048, 0),
     ("blur", "fixpoint"): (1, 114, 150, 1348, 0),
 }
 

@@ -1,10 +1,10 @@
 """Differential tests: every settle strategy must agree exactly.
 
-The event-driven scheduler and the compiled backend are optimisations, not
-semantics changes: on every design in ``repro.designs`` all strategies must
-produce identical pixel streams, identical cycle counts, identical
-per-cycle signal traces, final memories and FSM transition records.  The fixpoint engine is the oracle because it
-evaluates everything — it cannot miss a dependency.
+The compiled backend is an optimisation, not a semantics change: on every
+design in ``repro.designs`` it must produce identical pixel streams,
+identical cycle counts, identical per-cycle signal traces, final memories
+and FSM transition records to the fixpoint engine.  The fixpoint engine is
+the oracle because it evaluates everything — it cannot miss a dependency.
 """
 
 import pytest
@@ -22,7 +22,6 @@ from repro.designs import (
 )
 from repro.rtl import (
     COMPILED,
-    EVENT,
     FIXPOINT,
     FSM,
     Component,
@@ -32,8 +31,8 @@ from repro.rtl import (
 )
 from repro.video import flatten, golden_blur3x3, random_frame
 
-#: The optimised strategies, each checked against the fixpoint oracle.
-OPTIMISED = (EVENT, COMPILED)
+#: The optimised strategy, checked against the fixpoint oracle.
+OPTIMISED = (COMPILED,)
 
 FRAME = random_frame(10, 6, seed=77)
 PIXELS = flatten(FRAME)
@@ -120,16 +119,16 @@ def test_compiled_analysis_resolves_all_shipped_processes(label):
 
 @pytest.mark.parametrize("stalls", [(2, 0), (0, 3), (2, 3)])
 def test_strategies_agree_under_backpressure(stalls):
-    """Source/sink stalling exercises the idle paths the scheduler skips."""
+    """Source/sink stalling exercises the designs' idle paths."""
     source_stall, sink_stall = stalls
     results = []
-    for strategy in (EVENT, COMPILED, FIXPOINT):
+    for strategy in (COMPILED, FIXPOINT):
         system = VideoSystem(build_saa2vga_pattern("fifo", capacity=8),
                              frames=[FRAME], source_stall=source_stall,
                              sink_stall=sink_stall)
         sim = system.simulate(len(PIXELS), max_cycles=50_000, strategy=strategy)
         results.append((system.received_pixels(), sim.cycles))
-    assert results[0] == results[1] == results[2]
+    assert results[0] == results[1]
     assert results[0][0] == PIXELS
 
 
@@ -155,7 +154,7 @@ class _Toggler(Component):
             self.count.next = self.count.value + 1
 
 
-@pytest.mark.parametrize("strategy", [EVENT, FIXPOINT, COMPILED])
+@pytest.mark.parametrize("strategy", [FIXPOINT, COMPILED])
 def test_reset_clears_recorder_and_resettles(strategy):
     """Regression: reset() must clear watcher state and re-run the initial
     settle under the selected strategy, so post-reset traces start clean."""
@@ -178,7 +177,7 @@ def test_reset_clears_recorder_and_resettles(strategy):
 @pytest.mark.parametrize("strategy", OPTIMISED)
 @pytest.mark.parametrize("label", ["saa2vga pattern/fifo", "blur pattern"])
 def test_reset_then_rerun_reproduces_first_run(label, strategy):
-    """After reset() the optimised schedulers must start from scratch and
+    """After reset() the optimised strategy must start from scratch and
     reproduce the first run exactly (same pixels, same cycle count)."""
     factory, expected = DESIGNS[label]
     system = VideoSystem(factory(), frames=[FRAME])
@@ -194,7 +193,7 @@ def test_reset_then_rerun_reproduces_first_run(label, strategy):
     assert (system.received_pixels(), sim.cycles) == first
 
 
-@pytest.mark.parametrize("strategy", [EVENT, FIXPOINT, COMPILED])
+@pytest.mark.parametrize("strategy", [FIXPOINT, COMPILED])
 def test_preconstruction_next_pokes_commit_identically(strategy):
     """A legal two-phase poke made before the simulator exists must be
     committed by the initial settle under either strategy."""
@@ -243,7 +242,7 @@ def test_wrapped_watcher_reset_via_explicit_hook():
     import functools
 
     top = _Toggler()
-    sim = Simulator(top, strategy=EVENT)
+    sim = Simulator(top, strategy=COMPILED)
     rows = []
     sample = functools.partial(lambda store, cycle: store.append(cycle), rows)
     sim.add_watcher(sample, on_reset=rows.clear)
@@ -258,7 +257,7 @@ def test_wrapped_watcher_reset_via_explicit_hook():
 @pytest.mark.parametrize("strategy", OPTIMISED)
 def test_mid_simulation_frame_queueing_wakes_source(strategy):
     """Queueing pixels after the source went idle must wake it again (the
-    optimised schedulers see the growth through the source's sensitivity
+    optimised strategy sees the growth through the source's sensitivity
     anchor)."""
     system = VideoSystem(build_saa2vga_pattern("fifo", capacity=8),
                          frames=[FRAME])
@@ -273,7 +272,7 @@ def test_mid_simulation_frame_queueing_wakes_source(strategy):
     assert system.received_pixels() == PIXELS + flatten(second)
 
 
-@pytest.mark.parametrize("strategy", [EVENT, FIXPOINT, COMPILED])
+@pytest.mark.parametrize("strategy", [FIXPOINT, COMPILED])
 def test_rgb_over_8bit_bus_roundtrips_bit_exact(strategy):
     """Acceptance: full 24-bit RGB values over the 8-bit shared bus come
     back bit-exact under every settle strategy, with the width converters
@@ -351,5 +350,4 @@ def test_verification_sessions_identical_across_strategies(target):
             result.transactions,
             [str(v) for v in result.violations],
         )
-    assert outcomes[EVENT] == outcomes[FIXPOINT]
     assert outcomes[COMPILED] == outcomes[FIXPOINT]

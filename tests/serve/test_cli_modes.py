@@ -11,7 +11,8 @@ import pytest
 
 from repro.explore.__main__ import main as explore_main
 from repro.obs.metrics import REGISTRY
-from repro.serve import ResultStore, SweepServer
+from repro.serve import ResultStore
+from repro.serve.server import SweepServer
 from repro.verify.__main__ import main as verify_main
 
 GRID = ["--designs", "saa2vga", "--bindings", "fifo", "sram",

@@ -9,7 +9,7 @@ import json
 import urllib.request
 
 from repro.obs.metrics import REGISTRY
-from repro.serve import SweepServer
+from repro.serve.server import SweepServer
 
 SPEC = {"designs": ["saa2vga"], "bindings": ["fifo", "sram"],
         "capacities": [8], "frames": ["8x4"]}

@@ -61,7 +61,7 @@ def test_exploration_keys_are_stable_and_content_addressed():
 
 def test_every_config_axis_changes_the_key():
     base = exploration_key(POINT, "compiled", False, 0, 1500)
-    assert exploration_key(POINT, "event", False, 0, 1500) != base
+    assert exploration_key(POINT, "fixpoint", False, 0, 1500) != base
     assert exploration_key(POINT, "compiled", True, 0, 1500) != base
     assert exploration_key(POINT, "compiled", False, 1, 1500) != base
     assert exploration_key(POINT, "compiled", False, 0, 999) != base
@@ -80,12 +80,12 @@ def test_store_key_matches_the_runner_memo_normalisation():
 
 
 def test_verify_keys_pin_the_resolved_cycle_budget():
-    key = verify_key("queue/fifo", 0, 2000, "event")
-    assert key == verify_key("queue/fifo", 0, 2000, "event")
-    assert verify_key("queue/fifo", 1, 2000, "event") != key
-    assert verify_key("queue/fifo", 0, 2001, "event") != key
+    key = verify_key("queue/fifo", 0, 2000, "fixpoint")
+    assert key == verify_key("queue/fifo", 0, 2000, "fixpoint")
+    assert verify_key("queue/fifo", 1, 2000, "fixpoint") != key
+    assert verify_key("queue/fifo", 0, 2001, "fixpoint") != key
     assert verify_key("queue/fifo", 0, 2000, "compiled") != key
-    assert verify_key("queue/sram", 0, 2000, "event") != key
+    assert verify_key("queue/sram", 0, 2000, "fixpoint") != key
 
 
 # -- exploration records --------------------------------------------------------

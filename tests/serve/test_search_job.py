@@ -8,8 +8,9 @@ the ``GET /search`` listing are new.
 
 import pytest
 
-from repro.serve import ServiceError, SweepClient, SweepServer
+from repro.serve.client import ServiceError, SweepClient
 from repro.serve.jobs import JobManager
+from repro.serve.server import SweepServer
 from repro.serve.store import ResultStore
 
 BODY = {"targets": ["queue/fifo"], "budget": 4, "cycles": 120, "seed": 0}

@@ -11,7 +11,8 @@ import urllib.request
 import pytest
 
 from repro.obs.metrics import REGISTRY
-from repro.serve import ServiceError, SweepClient, SweepServer
+from repro.serve.client import ServiceError, SweepClient
+from repro.serve.server import SweepServer
 from repro.serve.store import ResultStore
 
 SPEC = {"designs": ["saa2vga"], "bindings": ["fifo", "sram"],
