@@ -32,7 +32,7 @@ def main() -> None:
 
     runner = ExplorationRunner()
     results = runner.run(points)
-    print(comparison_report(results, title="Batched sweep (event-driven simulation)."))
+    print(comparison_report(results, title="Batched sweep (compiled simulation)."))
 
     assert all(res.verified for res in results), "every point must match its golden model"
     print(f"all {len(results)} points verified against their golden models")

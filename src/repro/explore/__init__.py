@@ -6,10 +6,10 @@ generate versions of each one for every physical target and range of
 configuration parameters").  This subsystem industrialises that step: a grid
 of (design x container binding x pixel format x frame size x capacity)
 points is expanded, every point is simulated and characterised through the
-fastest settle backend (``strategy="auto"`` resolves to the compiled
-engine), results are memoized under their store keys (point × strategy ×
-verify config) so repeated points are free, and a comparison report is
-emitted with the same table formatter the Table-3 reproduction uses.
+compiled settle backend (the default ``strategy="compiled"``), results are
+memoized under their store keys (point × strategy × verify config) so
+repeated points are free, and a comparison report is emitted with the
+same table formatter the Table-3 reproduction uses.
 
 Typical use::
 
@@ -25,7 +25,6 @@ Typical use::
 from .grid import DesignPoint, expand_grid, is_valid_point
 from .report import best_by, comparison_report, coverage_summary, results_table
 from .runner import (
-    AUTO,
     ExplorationResult,
     ExplorationRunner,
     evaluate_point,
@@ -42,7 +41,6 @@ from ..flow.sweep import (
 )
 
 __all__ = [
-    "AUTO",
     "DesignPoint",
     "expand_grid",
     "is_valid_point",

@@ -36,9 +36,9 @@ import sys
 from ..obs import export as _obs_export
 from ..obs import recording
 from ..obs import tracing as _obs_tracing
-from ..rtl import STRATEGIES
+from ..rtl import COMPILED, STRATEGIES
 from .report import comparison_report, coverage_summary, results_table
-from .runner import AUTO, ExplorationRunner
+from .runner import ExplorationRunner
 from .spec import expand_spec, normalize_pipeline_spec
 
 
@@ -79,10 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
     run = parser.add_argument_group("execution")
     run.add_argument("--grid", metavar="PATH", default=None,
                      help="JSON grid spec file (CLI axis flags override it)")
-    run.add_argument("--strategy", default=AUTO, choices=(AUTO, *STRATEGIES))
-    run.add_argument("--processes", type=int, default=None, metavar="N",
+    run.add_argument("--strategy", default=COMPILED, choices=STRATEGIES)
+    run.add_argument("--processes", type=int, default=0, metavar="N",
                      help="evaluate uncached points on a local JobManager "
-                          "pool of N worker processes")
+                          "pool of N worker processes (default: 0, "
+                          "in-process)")
     run.add_argument("--max-cycles", type=int, default=2_000_000)
     run.add_argument("--verify", action="store_true",
                      help="also run a constrained-random verification "

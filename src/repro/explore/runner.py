@@ -4,17 +4,17 @@
 :class:`~repro.explore.grid.DesignPoint`; :class:`ExplorationRunner` maps it
 over a whole grid as a client of the job layer (:mod:`repro.serve.jobs`):
 results are memoized under their store keys (a repeated point is never
-re-simulated), probed in an optional persistent store, and the misses run
-in-process or on a ``JobManager`` worker pool.  Every result carries the
-measured streaming throughput, the estimated FPGA resources and a
-functional-verification verdict against the golden model, so a sweep
-doubles as a regression net.
+re-simulated), and the misses go to a ``JobManager``, which probes an
+optional persistent store and runs the rest in-process or on a worker
+pool.  Every result carries the measured streaming throughput, the
+estimated FPGA resources and a functional-verification verdict against
+the golden model, so a sweep doubles as a regression net.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..obs import tracing as _obs_tracing
 from ..obs.metrics import REGISTRY as _REGISTRY
@@ -29,22 +29,13 @@ from ..video import GRAY8, RGB24, RGB565, flatten, golden_blur3x3, random_frame
 
 PIXEL_FORMATS = {fmt.name: fmt for fmt in (GRAY8, RGB24, RGB565)}
 
-#: Strategy alias: pick the fastest backend for sweeps.  The compiled
-#: backend wins on every shipped design (it is differentially verified
-#: against the oracle in ``tests/rtl/test_strategy_equivalence.py``), and its
-#: one-time compile cost is amortised across a sweep because design classes
-#: share process code objects.
-AUTO = "auto"
-
 
 def resolve_strategy(strategy: str) -> str:
-    """Map the ``"auto"`` alias to a concrete settle strategy."""
-    if strategy == AUTO:
-        return COMPILED
+    """Return ``strategy`` if it names a settle strategy, else raise
+    :class:`ValueError` naming the valid choices."""
     if strategy not in STRATEGIES:
         raise ValueError(
-            f"unknown strategy {strategy!r}; expected {AUTO!r} or one of "
-            f"{STRATEGIES}")
+            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     return strategy
 
 
@@ -168,7 +159,7 @@ def _characterise(point, design, pixels, cycles, golden,
     )
 
 
-def evaluate_point(point, strategy: str = AUTO,
+def evaluate_point(point, strategy: str = COMPILED,
                    max_cycles: int = 2_000_000, verify: bool = False,
                    verify_seed: int = 0,
                    verify_cycles: int = 1500) -> ExplorationResult:
@@ -180,9 +171,9 @@ def evaluate_point(point, strategy: str = AUTO,
     carries the session's functional-coverage percentage and violation
     count alongside the directed-test verdict.
 
-    Worker processes run it through :func:`repro.serve.jobs.evaluate_shard`.
+    Sweeps run it through :func:`repro.serve.jobs.evaluate_shard`, in
+    worker processes or in-process.
     """
-    strategy = resolve_strategy(strategy)
     with _obs_tracing.span("explore.point", strategy=strategy,
                            design=getattr(point, "design",
                                           type(point).__name__)):
@@ -207,21 +198,21 @@ class ExplorationRunner:
     constructor's result-affecting arguments become one
     :class:`~repro.serve.jobs.SweepConfig` (:attr:`config`), whose
     :meth:`~repro.serve.jobs.SweepConfig.key_for` keys the in-process memo
-    and the persistent store alike, and
-    :func:`~repro.serve.jobs.diff_points` is the store probe.  So this
-    runner, ``python -m repro.explore --store``/``--server`` and the sweep
-    service all read and write one set of entries.
+    and the persistent store alike, and every memo miss is submitted to a
+    :class:`~repro.serve.jobs.JobManager`, which probes the store,
+    evaluates and writes back.  So this runner, ``python -m repro.explore
+    --store``/``--server`` and the sweep service all read and write one
+    set of entries.
 
     Parameters
     ----------
     strategy:
-        Settle strategy handed to every simulation.  The default ``"auto"``
-        resolves to the fastest backend (currently ``"compiled"``).
+        Settle strategy handed to every simulation (default
+        ``"compiled"``).
     processes:
-        ``None`` (default) runs uncached points serially in-process; an
-        integer > 1 submits them to a
-        :class:`~repro.serve.jobs.JobManager` with that many worker
-        processes.  Memoization works identically either way.
+        Worker processes of the ``JobManager``: ``0`` (default) evaluates
+        uncached points in-process, ``N`` on a pool of ``N`` workers.
+        Results, store entries and memoization are identical either way.
     max_cycles:
         Per-point simulation budget.
     store:
@@ -234,22 +225,21 @@ class ExplorationRunner:
         family must be registered in :mod:`repro.serve.records`.
     """
 
-    def __init__(self, strategy: str = AUTO, processes: Optional[int] = None,
+    def __init__(self, strategy: str = COMPILED, processes: int = 0,
                  max_cycles: int = 2_000_000, verify: bool = False,
                  verify_seed: int = 0, verify_cycles: int = 1500,
                  store=None) -> None:
         from ..serve.jobs import SweepConfig
         from ..serve.store import ResultStore
 
-        if processes is not None and processes < 1:
-            raise ValueError(f"processes must be >= 1, got {processes}")
+        if processes < 0:
+            raise ValueError(f"processes must be >= 0, got {processes}")
         #: The sweep identity every result is keyed, stored and evaluated
         #: under (``verify=True`` adds a constrained-random verification
         #: session per point).
         self.config = SweepConfig(strategy=strategy, max_cycles=max_cycles,
                                   verify=verify, verify_seed=verify_seed,
                                   verify_cycles=verify_cycles)
-        self.config.cache_strategy()  # validate the strategy eagerly
         self.processes = processes
         if store is not None and not hasattr(store, "get"):
             store = ResultStore(store)
@@ -269,83 +259,37 @@ class ExplorationRunner:
         """Evaluate every point, returning results in the points' order.
 
         Duplicate points and points seen in earlier ``run`` calls are
-        served from the memo without re-simulation.  Raises
-        :class:`RuntimeError` when a point fails in the worker pool.
+        served from the memo without re-simulation; the rest are one
+        :class:`~repro.serve.jobs.JobManager` job.  Raises
+        :class:`RuntimeError` carrying the first failure's traceback.
         """
-        from ..serve.jobs import diff_points
-        from ..serve.records import result_from_record, result_to_record
-
-        memo, config = self._memo, self.config
-        keys = [config.key_for(point) for point in points]
-        plan = diff_points([point for point, key in zip(points, keys)
-                            if key not in memo], self.store, config)
-        for key, record in plan.cached.items():
-            memo[key] = result_from_record(record)
-        served = len(points) - len(plan.todo)
-        self.cache_hits += served
-        self.store_hits += len(plan.cached)
-        self.evaluations += len(plan.todo)
-        _REGISTRY.inc("explore_cache_hits", served)
-        _REGISTRY.inc("explore_store_hits", len(plan.cached))
-        _REGISTRY.inc("explore_evaluations", len(plan.todo))
-        if plan.todo and self.processes is not None and self.processes > 1:
-            for record in self._run_jobs(plan.todo):
-                memo[record["key"]] = result_from_record(record)
-        elif plan.todo:
-            record_config = config.record_config()
-            for point, key in zip(plan.todo, plan.todo_keys):
-                result = evaluate_point(point, strategy=config.strategy,
-                                        max_cycles=config.max_cycles,
-                                        verify=config.verify,
-                                        verify_seed=config.verify_seed,
-                                        verify_cycles=config.verify_cycles)
-                memo[key] = result
-                if self.store is not None:
-                    self.store.put(key, result_to_record(result, key,
-                                                         record_config))
-        return [memo[key] for key in keys]
-
-    def _run_jobs(self, points: Sequence) -> List[dict]:
-        """Evaluate ``points`` on a fresh ``JobManager`` pool (one point
-        per shard, so the workers share the grid work-stealing style);
-        the manager writes the records back to the store."""
         from ..serve.jobs import JobManager
+        from ..serve.records import result_from_record
 
-        with JobManager(store=self.store, workers=self.processes,
-                        shard_size=1) as manager:
-            job = manager.submit(points, self.config)
-            job.wait()
+        memo = self._memo
+        keys = [self.config.key_for(point) for point in points]
+        misses = [point for point, key in zip(points, keys) if key not in memo]
+        cached = simulated = 0
+        if misses:
+            with JobManager(store=self.store,
+                            workers=self.processes) as manager:
+                job = manager.submit(misses, self.config)
+                job.wait()
             outcome = job.ordered_records()
-        failures = outcome["failures"]
-        if failures:
-            raise RuntimeError(
-                f"{len(failures)} point(s) failed in the worker pool; "
-                f"first failure:\n{failures[0]['error']}")
-        return outcome["records"]
-
-    def run_search(self, budget: int, seed: int = 0,
-                   designs: Sequence[str] = ("saa2vga", "blur"),
-                   bindings: Optional[Sequence[str]] = None,
-                   pixel_formats: Sequence[str] = ("gray8",),
-                   frame_sizes: Sequence[Tuple[int, int]] = ((8, 8),
-                                                             (16, 12)),
-                   capacities: Sequence[int] = (4, 8, 16),
-                   epsilon: float = 0.2):
-        """Budgeted Pareto search over design axes, alongside grid sweeps.
-
-        Instead of enumerating a full grid, a mutation/crossover proposer
-        (under an epsilon-greedy operator bandit) spends ``budget``
-        evaluations chasing the (throughput ↑, synth area ↓) frontier;
-        every proposal goes through this runner's :meth:`run`, so the
-        memo and the persistent store are shared with ordinary sweeps —
-        repeat proposals cost zero simulations.  Returns the
-        :class:`repro.search.FrontierReport` (lazy import: the search
-        package sits above this one).
-        """
-        from ..search.driver import design_search
-
-        return design_search(budget, seed=seed, runner=self,
-                             designs=designs, bindings=bindings,
-                             pixel_formats=pixel_formats,
-                             frame_sizes=frame_sizes, capacities=capacities,
-                             epsilon=epsilon)
+            failures = outcome["failures"]
+            if failures:
+                raise RuntimeError(
+                    f"{len(failures)} point(s) failed; first failure:\n"
+                    f"{failures[0]['error']}")
+            for record in outcome["records"]:
+                memo[record["key"]] = result_from_record(record)
+            progress = job.progress()
+            cached, simulated = progress["cached"], progress["simulated"]
+        served = len(points) - simulated
+        self.cache_hits += served
+        self.store_hits += cached
+        self.evaluations += simulated
+        _REGISTRY.inc("explore_cache_hits", served)
+        _REGISTRY.inc("explore_store_hits", cached)
+        _REGISTRY.inc("explore_evaluations", simulated)
+        return [memo[key] for key in keys]

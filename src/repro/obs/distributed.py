@@ -420,7 +420,6 @@ def timeline_report(records: Sequence[dict]) -> str:
     if not spans:
         return "no spans in trace — nothing to analyze"
     lines: List[str] = []
-    by_id = {r["id"]: r for r in spans if r.get("id") is not None}
     children: Dict[Optional[int], List[dict]] = {}
     for record in spans:
         children.setdefault(record.get("parent"), []).append(record)
@@ -531,6 +530,4 @@ def timeline_report(records: Sequence[dict]) -> str:
         lines.append("")
         lines.append("attribution flags: none "
                      "(no stragglers, retries or lost telemetry)")
-    # keep by_id referenced for future chain analyses (and linters quiet)
-    del by_id
     return "\n".join(lines)

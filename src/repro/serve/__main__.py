@@ -37,10 +37,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="TCP port; 0 picks an ephemeral port "
                              "(default: 8377)")
     parser.add_argument("--workers", type=int, default=2, metavar="N",
-                        help="worker-process pool size (default: 2)")
-    parser.add_argument("--shard-size", type=int, default=16, metavar="N",
+                        help="worker-process pool size, at least 1 "
+                             "(default: 2)")
+    parser.add_argument("--shard-size", type=int, default=1, metavar="N",
                         help="points per shard — the retry/timeout unit "
-                             "(default: 16)")
+                             "(default: 1)")
     parser.add_argument("--shard-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="kill and re-dispatch a shard running longer "
@@ -58,7 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     from .server import SweepServer
 
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.workers < 1:
+        # workers=0 would run every sweep on the HTTP request threads.
+        parser.error("--workers must be at least 1")
     store = ResultStore(args.store, max_entries=args.max_entries)
     server = SweepServer(
         store, host=args.host, port=args.port, workers=args.workers,

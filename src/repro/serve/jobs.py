@@ -12,7 +12,9 @@ The job model turns a grid of points into durable results:
    style: the manager assigns the next pending shard to whichever worker
    becomes idle first, so a slow shard never blocks its siblings.  Each
    worker talks to the manager over its own private pipe — a killed or
-   crashed worker can corrupt nothing shared.
+   crashed worker can corrupt nothing shared.  With ``workers=0`` there
+   is no pool: :meth:`JobManager.submit` evaluates the shards on the
+   calling thread and completes each through the same reply handling.
 4. **Survive** — a worker that dies mid-shard (crash, OOM-kill, operator
    ``SIGKILL``) or exceeds the per-shard timeout gets its shard re-queued
    and a fresh worker spawned, up to ``max_retries`` re-dispatches; an
@@ -62,6 +64,10 @@ FAILED = "failed"
 
 _TERMINAL = (DONE, FAILED)
 
+#: Seconds the pump waits for a worker reply before it checks for dead
+#: workers and shard timeouts.
+_POLL_INTERVAL = 0.05
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -69,12 +75,13 @@ class SweepConfig:
 
     The one result identity of exploration sweeps: an
     :class:`~repro.explore.runner.ExplorationRunner` builds one from its
-    constructor arguments, and :meth:`key_for` (with ``"auto"`` resolved
-    by :meth:`cache_strategy`) keys the runner's memo, the CLI ``--store``
-    mode and the service alike, so they all hit the same store entries.
+    constructor arguments, and :meth:`key_for` keys the runner's memo, the
+    CLI ``--store`` mode and the service alike, so they all hit the same
+    store entries.  An unknown ``strategy`` raises :class:`ValueError` on
+    construction.
     """
 
-    strategy: str = "auto"
+    strategy: str = "compiled"
     max_cycles: int = 2_000_000
     verify: bool = False
     verify_seed: int = 0
@@ -85,18 +92,18 @@ class SweepConfig:
     #: cache key: tracing observes a sweep, it does not change its results.
     trace: bool = False
 
-    def cache_strategy(self) -> str:
+    def __post_init__(self) -> None:
         from ..explore.runner import resolve_strategy
 
-        return resolve_strategy(self.strategy)
+        resolve_strategy(self.strategy)
 
     def key_for(self, point) -> str:
         """The store key this config assigns to ``point``."""
-        return exploration_key(point, self.cache_strategy(), self.verify,
+        return exploration_key(point, self.strategy, self.verify,
                                self.verify_seed, self.verify_cycles)
 
     def record_config(self) -> Dict[str, object]:
-        return exploration_config(self.cache_strategy(), self.verify,
+        return exploration_config(self.strategy, self.verify,
                                   self.verify_seed, self.verify_cycles)
 
     def to_dict(self) -> Dict[str, object]:
@@ -177,7 +184,7 @@ def evaluate_shard(point_dicts: Sequence[dict],
     """Evaluate one shard; returns ``[(key, record), ...]`` per point.
 
     Module-level and dict-in/dict-out so it runs identically in a worker
-    process, in-process (tests, the no-worker fallback) and across Python
+    process, in-process (``JobManager(workers=0)``) and across Python
     versions: records, not live objects, cross the process boundary.
     """
     from ..explore.runner import evaluate_point
@@ -553,12 +560,15 @@ class JobManager:
     workers:
         Worker-process pool size (each worker evaluates one shard at a
         time; the manager hands the next pending shard to whichever worker
-        frees up first).
+        frees up first).  ``0`` starts no process and no thread:
+        :meth:`submit` evaluates the shards on the calling thread and
+        returns a finished job.
     shard_size:
         Points per shard — the retry/timeout granularity.
     shard_timeout:
         Seconds a shard may run before its worker is killed and the shard
-        re-dispatched; ``None`` disables the timeout.
+        re-dispatched; ``None`` disables the timeout.  Worker pools only:
+        an in-process shard runs to completion.
     max_retries:
         How many times a shard may be *re*-dispatched after a worker death
         or timeout before its points are recorded as failed.
@@ -567,10 +577,10 @@ class JobManager:
     _ids = itertools.count(1)
 
     def __init__(self, store: Optional[ResultStore] = None, workers: int = 2,
-                 shard_size: int = 16, shard_timeout: Optional[float] = None,
-                 max_retries: int = 1, poll_interval: float = 0.05) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+                 shard_size: int = 1, shard_timeout: Optional[float] = None,
+                 max_retries: int = 1) -> None:
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
         if shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {shard_size}")
         if max_retries < 0:
@@ -580,7 +590,6 @@ class JobManager:
         self.shard_size = shard_size
         self.shard_timeout = shard_timeout
         self.max_retries = max_retries
-        self.poll_interval = poll_interval
         self._ctx = multiprocessing.get_context()
         self._lock = threading.RLock()
         self._jobs: Dict[str, SweepJob] = {}
@@ -590,11 +599,13 @@ class JobManager:
         self._closed = False
         #: Shards re-dispatched after a worker death or timeout (telemetry).
         self.requeues = 0
+        self._pump: Optional[threading.Thread] = None
         for _ in range(workers):
             self._spawn_worker()
-        self._pump = threading.Thread(target=self._pump_loop,
-                                      name="sweep-job-pump", daemon=True)
-        self._pump.start()
+        if workers:
+            self._pump = threading.Thread(target=self._pump_loop,
+                                          name="sweep-job-pump", daemon=True)
+            self._pump.start()
 
     # -- public API --------------------------------------------------------
 
@@ -602,8 +613,10 @@ class JobManager:
                ) -> SweepJob:
         """Register a sweep: diff against the store, shard, enqueue.
 
-        Returns immediately; progress is observable via the job object
-        (``job.progress()`` / ``job.wait()``) or the HTTP layer.
+        With a worker pool this returns immediately; progress is observable
+        via the job object (``job.progress()`` / ``job.wait()``) or the
+        HTTP layer.  With ``workers=0`` the shards run on this thread and
+        the returned job is finished.
         """
         config = config or SweepConfig()
         points = list(points)
@@ -629,22 +642,25 @@ class JobManager:
                                           job.trace.now_ns(),
                                           parent=job.trace.root_id,
                                           count=len(plan.cached))
-            shards = split_shards(
-                list(zip(plan.todo, plan.todo_keys)), self.shard_size)
+            shards = [
+                _Shard(job.id, shard_id,
+                       [point_to_dict(point) for point, _ in pairs],
+                       [key for _, key in pairs])
+                for shard_id, pairs in enumerate(split_shards(
+                    list(zip(plan.todo, plan.todo_keys)), self.shard_size))]
             job.state = SHARDED
             job.emit("sharded", shards=len(shards),
                      shard_size=self.shard_size)
-            for shard_id, pairs in enumerate(shards):
-                shard = _Shard(
-                    job.id, shard_id,
-                    [point_to_dict(point) for point, _ in pairs],
-                    [key for _, key in pairs])
-                self._pending.append(shard)
-            if shards:
-                job.state = RUNNING
-                self._dispatch()
-            else:
+            if not shards:
                 self._finalize(job)
+            else:
+                job.state = RUNNING
+                if self.n_workers:
+                    self._pending.extend(shards)
+                    self._dispatch()
+        if not self.n_workers:
+            for shard in shards:
+                self._run_inline(job, shard)
         return job
 
     def submit_search(self, body: Dict[str, object]) -> SearchJob:
@@ -741,7 +757,8 @@ class JobManager:
                 worker.conn.send(None)
             except (OSError, ValueError):
                 pass
-        self._pump.join(timeout)
+        if self._pump is not None:
+            self._pump.join(timeout)
         for worker in workers:
             worker.process.join(0.5)
             if worker.process.is_alive():
@@ -767,6 +784,31 @@ class JobManager:
         child_conn.close()
         self._workers[worker_id] = _Worker(worker_id, process, parent_conn)
 
+    def _start(self, worker: _Worker, shard: _Shard,
+               job: SweepJob) -> Optional[dict]:
+        """Begin one attempt of ``shard`` on ``worker`` (callers hold the
+        lock); returns the trace context to ship with it, if traced."""
+        shard.attempts += 1
+        shard.state = "running"
+        worker.current = shard
+        worker.assigned_at = time.monotonic()
+        context_dict = None
+        if job.trace is not None:
+            # Allocate this attempt's manager-side span id *now* so
+            # the worker's spans can name their parent before the
+            # span record itself exists (it is written on reply).
+            shard.trace_span = job.trace.next_id()
+            shard.dispatched_ns = job.trace.now_ns()
+            context_dict = job.trace.context(shard.trace_span).to_dict()
+        job.emit("shard_started", shard=shard.shard_id,
+                 attempt=shard.attempts, worker=worker.id,
+                 points=len(shard.keys))
+        _REGISTRY.inc("sweep_shards_dispatched")
+        _obs_tracing.add_event("shard.dispatched", job=job.id,
+                               shard=shard.shard_id, worker=worker.id,
+                               attempt=shard.attempts)
+        return context_dict
+
     def _dispatch(self) -> None:
         """Hand pending shards to idle workers (callers hold the lock)."""
         for worker in list(self._workers.values()):
@@ -776,32 +818,33 @@ class JobManager:
                 continue
             shard = self._pending.popleft()
             job = self._jobs[shard.job_id]
-            shard.attempts += 1
-            shard.state = "running"
-            worker.current = shard
-            worker.assigned_at = time.monotonic()
-            context_dict = None
-            if job.trace is not None:
-                # Allocate this attempt's manager-side span id *now* so
-                # the worker's spans can name their parent before the
-                # span record itself exists (it is written on reply).
-                shard.trace_span = job.trace.next_id()
-                shard.dispatched_ns = job.trace.now_ns()
-                context_dict = job.trace.context(shard.trace_span).to_dict()
+            context_dict = self._start(worker, shard, job)
             try:
                 worker.conn.send((shard.job_id, shard.shard_id,
                                   shard.point_dicts,
                                   job.config.to_dict(), context_dict))
             except (OSError, ValueError):
                 self._worker_died(worker, "pipe closed on dispatch")
-                continue
-            job.emit("shard_started", shard=shard.shard_id,
-                     attempt=shard.attempts, worker=worker.id,
-                     points=len(shard.keys))
-            _REGISTRY.inc("sweep_shards_dispatched")
-            _obs_tracing.add_event("shard.dispatched", job=job.id,
-                                   shard=shard.shard_id, worker=worker.id,
-                                   attempt=shard.attempts)
+
+    def _run_inline(self, job: SweepJob, shard: _Shard) -> None:
+        """Evaluate ``shard`` on the calling thread (``workers=0``).
+
+        The result completes through :meth:`_handle_message`, exactly like
+        a worker's reply.  No telemetry rides along: the evaluation's
+        counters and spans already land in this process.
+        """
+        inline = _Worker(0, None, None)
+        with self._lock:
+            self._start(inline, shard, job)
+        try:
+            message = ("done", job.id, shard.shard_id,
+                       evaluate_shard(shard.point_dicts, job.config.to_dict()),
+                       None)
+        except Exception:
+            message = ("error", job.id, shard.shard_id,
+                       traceback.format_exc(limit=20), None)
+        with self._lock:
+            self._handle_message(inline, message)
 
     # -- event pump --------------------------------------------------------
 
@@ -814,7 +857,7 @@ class JobManager:
                          for worker in self._workers.values()}
             try:
                 ready = mp_connection.wait(list(conns),
-                                           timeout=self.poll_interval)
+                                           timeout=_POLL_INTERVAL)
             except OSError:
                 ready = []
             with self._lock:

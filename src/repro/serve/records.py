@@ -84,29 +84,24 @@ def _digest(payload: dict) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def exploration_config(cache_strategy: str, verify: bool, verify_seed: int,
+def exploration_config(strategy: str, verify: bool, verify_seed: int,
                        verify_cycles: int) -> Dict[str, object]:
-    """Canonical config block entering exploration keys and records.
-
-    ``cache_strategy`` must already be resolved (``"auto"`` mapped to the
-    backend it runs), as :meth:`repro.serve.jobs.SweepConfig.cache_strategy`
-    does.
-    """
+    """Canonical config block entering exploration keys and records."""
     return {
-        "strategy": str(cache_strategy),
+        "strategy": str(strategy),
         "verify": bool(verify),
         "verify_seed": int(verify_seed),
         "verify_cycles": int(verify_cycles),
     }
 
 
-def exploration_key(point, cache_strategy: str, verify: bool,
+def exploration_key(point, strategy: str, verify: bool,
                     verify_seed: int, verify_cycles: int) -> str:
     """Store key for one (point × strategy × verify config) identity."""
     payload = {
         "kind": "exploration",
         "point": point_to_dict(point),
-        "config": exploration_config(cache_strategy, verify, verify_seed,
+        "config": exploration_config(strategy, verify, verify_seed,
                                      verify_cycles),
     }
     return _digest(payload)

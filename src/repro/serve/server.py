@@ -313,18 +313,17 @@ class SweepServer:
 
     ``port=0`` (the default) binds an ephemeral port; read :attr:`url`
     after construction.  Use as a context manager or call
-    :meth:`start` / :meth:`close` explicitly.
+    :meth:`start` / :meth:`close` explicitly.  ``manager_options``
+    (``workers``, ``shard_size``, ``shard_timeout``, ``max_retries``) go
+    to the :class:`JobManager` unchanged.
     """
 
     def __init__(self, store, host: str = "127.0.0.1", port: int = 0,
-                 workers: int = 2, shard_size: int = 16,
-                 shard_timeout: Optional[float] = None, max_retries: int = 1,
-                 verbose: bool = False, stream_poll: float = 0.1) -> None:
+                 verbose: bool = False, stream_poll: float = 0.1,
+                 **manager_options) -> None:
         self.store = store if isinstance(store, ResultStore) \
             else ResultStore(store)
-        self.manager = JobManager(
-            store=self.store, workers=workers, shard_size=shard_size,
-            shard_timeout=shard_timeout, max_retries=max_retries)
+        self.manager = JobManager(store=self.store, **manager_options)
         self.verbose = verbose
         self.stream_poll = stream_poll
         self._httpd = _HTTPServer((host, port), _Handler)

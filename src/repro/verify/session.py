@@ -673,7 +673,7 @@ def verify(target: Union[str, Component], seed: int = 0,
         or 1500 for ad-hoc components).
     strategy:
         Settle strategy — sessions behave identically under ``compiled``
-        (the default), ``event`` and ``fixpoint``.
+        (the default) and ``fixpoint``.
     strict:
         Raise :class:`VerificationError` on the first violation instead of
         collecting all of them.
@@ -681,15 +681,6 @@ def verify(target: Union[str, Component], seed: int = 0,
     pool = RngPool(seed)
     bench, name, budget = _resolve_bench(target, pool, cycles)
     return _run_bench(bench, name, pool.seed, budget, strategy, strict)
-
-
-def verify_matrix(target: Union[str, Component], seeds: Sequence[int],
-                  cycles: Optional[int] = None, strategy: str = COMPILED,
-                  strict: bool = False) -> List[VerifyResult]:
-    """Run one :func:`verify` session per seed over one target, in seed
-    order; each seed gets its own bench and :class:`RngPool`."""
-    return [verify(target, seed=seed, cycles=cycles, strategy=strategy,
-                   strict=strict) for seed in seeds]
 
 
 def resolved_cycles(target: str, cycles: Optional[int]) -> int:
@@ -776,9 +767,9 @@ class SessionEvaluator:
                     continue
             fresh.append(seed)
         if fresh:
-            results = verify_matrix(target, fresh, cycles=self.cycles,
-                                    strategy=self.strategy,
-                                    strict=self.strict)
+            results = [verify(target, seed=seed, cycles=self.cycles,
+                              strategy=self.strategy, strict=self.strict)
+                       for seed in fresh]
             self.simulated += len(fresh)
             _REGISTRY.inc("search_simulated", len(fresh))
             for result in results:

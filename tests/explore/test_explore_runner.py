@@ -1,4 +1,4 @@
-"""Tests for the batched design-space runner: grid expansion, memoization,
+"""Tests for the design-space runner: grid expansion, memoization,
 strategy selection and deterministic reporting."""
 
 from dataclasses import asdict
@@ -6,7 +6,6 @@ from dataclasses import asdict
 import pytest
 
 from repro.explore import (
-    AUTO,
     DesignPoint,
     ExplorationRunner,
     best_by,
@@ -160,40 +159,44 @@ def test_best_by_rejects_empty():
 
 def test_runner_rejects_bad_processes():
     with pytest.raises(ValueError):
-        ExplorationRunner(processes=0)
+        ExplorationRunner(processes=-1)
 
 
-def test_process_pool_matches_in_process_and_shares_the_store(tmp_path):
-    """``processes=2`` farms misses to a JobManager pool: same results as
-    an in-process run, written to the same store entries."""
+@pytest.mark.parametrize("processes", [0, 2])
+def test_process_pool_matches_in_process_and_shares_the_store(tmp_path,
+                                                              processes):
+    """Both executors (``processes=0`` in-process, ``processes=2`` a
+    JobManager pool) give the results of a default run and write the same
+    store entries."""
     points = expand_grid(**SMALL_GRID)
     store = str(tmp_path / "store")
     before = REGISTRY.value("simulator_constructions")
-    pooled = ExplorationRunner(processes=2, store=store).run(points)
-    # Worker counters fold back over the pipe: the pool really simulated.
+    swept = ExplorationRunner(processes=processes, store=store).run(points)
+    # Pool workers' counters fold back over the pipe: every point really
+    # simulated, once.
     assert REGISTRY.value("simulator_constructions") - before == len(points)
     local = ExplorationRunner().run(points)
-    assert [asdict(res) for res in pooled] == [asdict(res) for res in local]
+    assert [asdict(res) for res in swept] == [asdict(res) for res in local]
 
-    warm = ExplorationRunner(processes=2, store=store)
+    warm = ExplorationRunner(processes=processes, store=store)
     before = REGISTRY.value("simulator_constructions")
     assert warm.run(points) == local
     assert REGISTRY.value("simulator_constructions") == before
     assert warm.store_hits == len(points) and warm.evaluations == 0
 
 
-def test_process_pool_raises_when_a_point_fails():
+@pytest.mark.parametrize("processes", [0, 2])
+def test_process_pool_raises_when_a_point_fails(processes):
     good = expand_grid(**SMALL_GRID)[0]
     bad = DesignPoint("nosuch", "fifo", "gray8", 8, 4, 8)
     with pytest.raises(RuntimeError, match="unknown design 'nosuch'"):
-        ExplorationRunner(processes=2).run([good, bad])
+        ExplorationRunner(processes=processes).run([good, bad])
 
 
 # -- strategy selection ----------------------------------------------------------
 
 
-def test_auto_strategy_resolves_to_fastest_backend():
-    assert resolve_strategy(AUTO) == COMPILED
+def test_resolve_strategy_accepts_only_settle_strategies():
     assert resolve_strategy(COMPILED) == COMPILED
     assert resolve_strategy(FIXPOINT) == FIXPOINT
     with pytest.raises(ValueError):
@@ -202,15 +205,15 @@ def test_auto_strategy_resolves_to_fastest_backend():
         ExplorationRunner(strategy="levelized")
 
 
-def test_runner_default_strategy_is_auto_and_agrees_with_event():
-    """The default (auto) runner agrees with the fixpoint oracle."""
+def test_runner_default_strategy_agrees_with_fixpoint():
+    """The default (compiled) runner agrees with the fixpoint oracle."""
     points = expand_grid(**SMALL_GRID)
-    auto_results = ExplorationRunner().run(points)
+    default_results = ExplorationRunner().run(points)
     oracle_results = ExplorationRunner(strategy=FIXPOINT).run(points)
-    for auto_res, oracle_res in zip(auto_results, oracle_results):
-        assert auto_res.verified and oracle_res.verified
-        assert auto_res.cycles == oracle_res.cycles
-        assert auto_res.throughput == oracle_res.throughput
+    for default_res, oracle_res in zip(default_results, oracle_results):
+        assert default_res.verified and oracle_res.verified
+        assert default_res.cycles == oracle_res.cycles
+        assert default_res.throughput == oracle_res.throughput
 
 
 def test_memo_keys_include_strategy(tmp_path):
@@ -242,19 +245,7 @@ def test_memo_keys_include_strategy(tmp_path):
     assert again.store_hits == len(points) and again.evaluations == 0
 
 
-def test_memo_treats_auto_and_compiled_as_the_same_key(tmp_path):
-    points = expand_grid(**SMALL_GRID)
-    auto = ExplorationRunner(strategy=AUTO, store=str(tmp_path / "store"))
-    compiled = ExplorationRunner(strategy=COMPILED, store=auto.store)
-    assert [auto.config.key_for(p) for p in points] == \
-        [compiled.config.key_for(p) for p in points]
-    auto.run(points)
-    compiled.run(points)
-    assert compiled.evaluations == 0
-    assert compiled.cache_hits == compiled.store_hits == len(points)
-
-
-def test_batched_strategy_resolution_and_validation():
+def test_unknown_strategy_is_rejected_up_front():
     """``"compiled-batched"`` names no backend: it is rejected up front,
     with the valid choices named, instead of failing mid-sweep."""
     with pytest.raises(ValueError, match="one of"):

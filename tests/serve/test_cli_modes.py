@@ -58,15 +58,15 @@ def test_explore_store_mode_is_incremental_across_grids(tmp_path, capsys):
     assert "4 point(s) evaluated (2 from cache, 2 from store)" in out
 
 
-def test_explore_compiled_strategy_shares_the_store_with_auto(tmp_path, capsys):
-    """auto resolves to compiled before keying: one store entry either way."""
+def test_explore_default_strategy_shares_the_store_with_compiled(tmp_path,
+                                                                capsys):
+    """The default strategy is compiled: one store entry either way."""
     store_dir = str(tmp_path / "store")
     assert explore_main(GRID + ["--store", store_dir,
                                 "--strategy", "compiled"]) == 0
     capsys.readouterr()
     before = constructions()
-    assert explore_main(GRID + ["--store", store_dir,
-                                "--strategy", "auto"]) == 0
+    assert explore_main(GRID + ["--store", store_dir]) == 0
     out = capsys.readouterr().out
     assert "(2 from cache, 2 from store)" in out
     assert constructions() == before

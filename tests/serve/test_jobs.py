@@ -7,13 +7,17 @@ its timeout is retried a bounded number of times and then fails *only its
 own points*.
 """
 
+import multiprocessing
 import os
 import signal
+import threading
 import time
+from collections import Counter
 
 import pytest
 
 from repro.explore import DesignPoint, ExplorationRunner
+from repro.obs.metrics import REGISTRY
 from repro.serve import jobs as jobs_module
 from repro.serve.jobs import (
     JobManager,
@@ -136,6 +140,43 @@ def test_deterministic_evaluation_errors_fail_without_retry(tmp_path):
         assert "nonsense" in payload["failures"][0]["error"]
         # Failures are job state only — never persisted.
         assert store.get(payload["failures"][0]["key"]) is None
+
+
+def test_in_process_manager_matches_the_worker_pool(tmp_path):
+    """``workers=0`` starts no process or thread and ``submit`` returns a
+    finished job, with the records, counts, failures and event kinds of
+    a worker-pool run of the same grid."""
+    bad = DesignPoint(design="nonsense", binding="fifo", pixel_format="gray8",
+                      frame_width=8, frame_height=4, capacity=8)
+    points = make_points((8, 16, 8)) + [bad]
+    threads = set(threading.enumerate())
+    children = set(multiprocessing.active_children())
+    dispatched = REGISTRY.value("sweep_shards_dispatched")
+    with JobManager(store=ResultStore(tmp_path / "inline"),
+                    workers=0) as manager:
+        inline = manager.submit(points, SweepConfig())
+        assert inline.done
+        assert set(threading.enumerate()) <= threads
+        assert set(multiprocessing.active_children()) <= children
+    assert REGISTRY.value("sweep_shards_dispatched") - dispatched == 3
+
+    with JobManager(store=ResultStore(tmp_path / "pool"),
+                    workers=2) as manager:
+        pooled = manager.submit(points, SweepConfig())
+        assert pooled.wait(timeout=60)
+
+    def summary(job):
+        progress, outcome = job.progress(), job.ordered_records()
+        return ({name: progress[name] for name in (
+                    "state", "points", "total", "cached", "simulated",
+                    "failed", "pending")},
+                outcome["records"],
+                [failure["key"] for failure in outcome["failures"]],
+                Counter(event["event"] for event in job.events_since(0)))
+
+    assert summary(inline) == summary(pooled)
+    assert summary(inline)[0]["failed"] == 1
+    assert "nonsense" in inline.ordered_records()["failures"][0]["error"]
 
 
 # -- fault injection: worker death ----------------------------------------------

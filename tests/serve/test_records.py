@@ -74,7 +74,7 @@ def test_every_config_axis_changes_the_key():
 def test_store_key_matches_the_runner_memo_normalisation():
     """CLI --store, the service and in-process sweeps share store entries."""
     key = exploration_key(POINT, "compiled", False, 0, 1500)
-    assert ExplorationRunner(strategy="auto").config.key_for(POINT) == key
+    assert ExplorationRunner().config.key_for(POINT) == key
     assert ExplorationRunner(strategy="compiled").config.key_for(POINT) == key
     assert SweepConfig().key_for(POINT) == key
 

@@ -76,3 +76,15 @@ def test_sigterm_stops_every_worker(tmp_path):
         for pid in workers:
             if alive(pid):
                 os.kill(pid, signal.SIGKILL)
+
+
+def test_zero_workers_is_rejected_at_start_up(tmp_path, capsys):
+    """``workers=0`` is the in-process executor; the service must never
+    simulate on its HTTP threads, so ``--workers 0`` is a usage error."""
+    from repro.serve.__main__ import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--store", str(tmp_path / "store"), "--workers", "0"])
+    assert excinfo.value.code == 2
+    assert "--workers must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()

@@ -161,8 +161,7 @@ def test_store_written_by_cli_mode_serves_server_sweeps(tmp_path):
     assert explore_main(argv + ["--store", str(store_dir)]) == 0
 
     with SweepServer(ResultStore(store_dir), workers=1) as server:
-        _, _, status = submit_and_wait(
-            server, {"spec": SPEC, "config": {"strategy": "auto"}})
+        _, _, status = submit_and_wait(server, {"spec": SPEC})
     assert status["cached"] == 2 and status["simulated"] == 0
 
 

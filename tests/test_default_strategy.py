@@ -6,8 +6,12 @@ no raw simulator entry point may keep a default of its own.
 
 import inspect
 
+import pytest
+
 from repro.designs import VideoSystem, run_stream_through
-from repro.explore.runner import resolve_strategy
+from repro.explore import ExplorationRunner
+from repro.explore.__main__ import build_parser as explore_parser
+from repro.explore.__main__ import main as explore_main
 from repro.rtl import STRATEGIES, Simulator
 from repro.search.driver import SearchConfig
 from repro.serve.jobs import SweepConfig
@@ -26,7 +30,29 @@ def test_every_entry_point_defaults_to_compiled():
         assert default_strategy(func) == "compiled", func.__qualname__
     assert build_parser().get_default("strategy") == "compiled"
     assert SearchConfig.__dataclass_fields__["strategy"].default == "compiled"
-    assert resolve_strategy(SweepConfig().strategy) == "compiled"
+    assert SweepConfig().strategy == "compiled"
+    assert ExplorationRunner().config.strategy == "compiled"
+    assert explore_parser().get_default("strategy") == "compiled"
+
+
+def test_auto_is_not_a_strategy(tmp_path):
+    """``auto`` was an alias of ``compiled``; no entry point accepts it."""
+    from repro.serve.client import ServiceError, SweepClient
+    from repro.serve.server import SweepServer
+
+    with pytest.raises(ValueError, match="unknown strategy 'auto'"):
+        ExplorationRunner(strategy="auto")
+    with pytest.raises(SystemExit) as excinfo:
+        explore_main(["--strategy", "auto"])
+    assert excinfo.value.code == 2
+    spec = {"designs": ["saa2vga"], "bindings": ["fifo"],
+            "capacities": [8], "frames": ["8x4"]}
+    with SweepServer(tmp_path / "store", workers=1) as server:
+        with pytest.raises(ServiceError) as excinfo:
+            SweepClient(server.url).submit(
+                {"spec": spec, "config": {"strategy": "auto"}})
+    assert excinfo.value.status == 400
+    assert "unknown strategy 'auto'" in str(excinfo.value)
 
 
 def test_event_strategy_is_gone():
