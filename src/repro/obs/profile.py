@@ -11,9 +11,10 @@ strategy:
 * analysis-miss (fallback) hits — settles where the compiled schedule was
   caught missing a write and self-corrected through the fixpoint oracle;
 
-plus per-design compile accounting: emission time, cyclic-group counts
-and sizes, opaque (non-dissolved) process counts and the processes left
-generic (called as written rather than specialised).
+plus per-construction compile accounting: compile time, how many
+constructions the recipe cache served, cyclic-group counts and sizes,
+opaque (non-dissolved) process counts and the processes left generic
+(called as written rather than specialised).
 
 Like tracing, the disabled path is one attribute read
 (:func:`active` returning ``None``) and allocates nothing; the simulator
@@ -60,8 +61,9 @@ class SettleProfiler:
             bucket["settle_iterations"] += settle_iterations
             bucket["fallback_hits"] += fallback_hits
 
-    def record_compile(self, seconds: float, report=None) -> None:
-        entry: Dict[str, object] = {"seconds": seconds}
+    def record_compile(self, seconds: float, report=None,
+                       hit: bool = False) -> None:
+        entry: Dict[str, object] = {"seconds": seconds, "hit": hit}
         if report is not None:
             entry.update(
                 n_procs=report.n_procs,
@@ -103,8 +105,10 @@ class SettleProfiler:
                              for c in self.compiles)
                 generic = sum(int(c.get("n_generic", 0))
                               for c in self.compiles)
+                hits = sum(1 for c in self.compiles if c["hit"])
                 lines.append(
-                    f"compile: {len(self.compiles)} emission(s), "
+                    f"compile: {len(self.compiles)} construction(s), "
+                    f"{hits} from the recipe cache, "
                     f"{total:.3f} s total; {cyclic} cyclic group(s), "
                     f"{opaque} opaque proc(s), {generic} generic proc(s)")
             return "\n".join(lines)

@@ -12,6 +12,7 @@ those sets from the process's abstract syntax tree:
   ``inspect.getattr_static`` so properties are analysed rather than invoked;
 * dynamic subscripts into Python containers of signals
   (``self._regs[addr].value``) over-approximate to *every* element;
+  into containers of plain scalars they are runtime values;
 * calls into resolvable helpers (``self._budget_open()``, ``fsm.is_in(...)``,
   local closure functions) are analysed recursively;
 * anything that cannot be resolved marks the process *opaque*, which the
@@ -23,6 +24,18 @@ of plain signal plumbing (assignments, ternaries, arithmetic, ``fsm.is_in``)
 can be dissolved into the generated settle function statement by statement,
 removing even the Python call overhead — the software analogue of the
 paper's wrapper dissolution.
+
+Every read of instance state — closure cells and globals, attributes,
+subscripts and element scans, FSM state registers and encodings, the
+functions a call enters — goes through one
+:class:`~repro.rtl.compile.guard.Recorder`, which memoises it per design
+and logs it as a fact.  The log is the design's
+:class:`~repro.rtl.compile.guard.Guard`: replayed on another design built
+from the same process code, it says whether that design would analyse
+identically.  A dynamic
+index into a container of plain scalars (a stimulus queue, a lookup table)
+is a runtime value, like a ``Memory`` word, so such data never enters a
+guard and its length never slows the analysis.
 
 Every walk also leaves *notes*: which AST node resolved to which signal,
 memory or FSM state.  The emitter uses them to specialise the bodies it
@@ -43,9 +56,10 @@ from typing import Any, Callable, Dict, List, Optional, Set
 from ..bits import Bits
 from ..component import Memory
 from ..signal import Signal
+from .guard import _FAIL, _MISSING, _PLAIN, _RAISED, Recorder
 
-#: Sentinel for "could not be resolved at compile time".
-_FAIL = object()
+#: A name not yet looked up in an analyser's ``env``.
+_UNREAD = object()
 
 #: Builtins that are safe to see in a process body without recursing.
 _SAFE_CALLS = {
@@ -159,40 +173,22 @@ def _parse_proc(func: Callable) -> Optional[ast.FunctionDef]:
     return None
 
 
-def _closure_env(func: Callable) -> Dict[str, Any]:
-    """The names a function body can resolve: closure cells over globals."""
-    env = dict(getattr(func, "__globals__", {}))
-    freevars = getattr(func.__code__, "co_freevars", ())
-    cells = getattr(func, "__closure__", None) or ()
-    for name, cell in zip(freevars, cells):
-        try:
-            env[name] = cell.cell_contents
-        except ValueError:  # empty cell
-            env.pop(name, None)
-    return env
-
-
-def _is_fsm_like(obj: Any) -> bool:
-    """Duck-check for the :class:`~repro.rtl.fsm.FSM` helper."""
-    return (hasattr(obj, "state") and isinstance(getattr(obj, "state", None), Signal)
-            and hasattr(obj, "encode") and hasattr(obj, "is_in"))
-
-
 class _Analyzer:
     """AST walker accumulating reads/writes for a single process."""
 
-    def __init__(self, analysis: ProcAnalysis, env: Dict[str, Any],
-                 depth: int = 0, call_stack: Optional[Set[Any]] = None,
-                 recurse: bool = True,
-                 memo: Optional[Dict[Any, Any]] = None) -> None:
+    def __init__(self, analysis: ProcAnalysis, func: Callable,
+                 recorder: Recorder, depth: int = 0,
+                 call_stack: Optional[Set[Any]] = None,
+                 recurse: bool = True) -> None:
         self.analysis = analysis
-        self.env = env
+        #: The function whose closure and globals free names resolve in.
+        self.func = func
+        self.recorder = recorder
+        #: name -> the ``env`` read of ``func`` for that name.
+        self.env: Dict[str, Any] = {}
         self.depth = depth
         #: Whether resolvable helper calls are analysed too.
         self.recurse = recurse
-        #: ``(id(base), attr) -> (base, resolved)``: ``getattr_static`` is
-        #: slow and a design's processes resolve the same chains many times.
-        self.memo = {} if memo is None else memo
         self.call_stack = call_stack if call_stack is not None else set()
         #: name -> _FAIL (runtime value) or resolved object / AnyOf
         self.locals: Dict[str, Any] = {}
@@ -246,8 +242,12 @@ class _Analyzer:
         if isinstance(node, ast.Name):
             if node.id in self.locals:
                 return self.locals[node.id]
-            if node.id in self.env:
-                return self.env[node.id]
+            value = self.env.get(node.id, _UNREAD)
+            if value is _UNREAD:
+                value = self.env[node.id] = self.recorder.read(
+                    "env", self.func, node.id)
+            if value is not _MISSING:
+                return value
             builtin = getattr(__builtins__, node.id, _FAIL) if not isinstance(
                 __builtins__, dict) else __builtins__.get(node.id, _FAIL)
             return builtin
@@ -283,23 +283,7 @@ class _Analyzer:
             if not ok:
                 return _FAIL
             return AnyOf(ok) if len(ok) > 1 else ok[0]
-        key = (id(base), attr)
-        cached = self.memo.get(key)
-        if cached is not None and cached[0] is base:
-            return cached[1]
-        try:
-            value = inspect.getattr_static(base, attr)
-        except (AttributeError, TypeError):
-            value = _FAIL
-        if isinstance(value, (property, classmethod, staticmethod)):
-            value = _FAIL  # descriptor: would execute code; analysed elsewhere
-        elif hasattr(value, "__get__") and not callable(value) \
-                and not isinstance(value, (Signal, Memory)):
-            value = _FAIL
-        # getattr_static returns plain functions for methods; keep them —
-        # call analysis re-binds the instance explicitly.
-        self.memo[key] = (base, value)
-        return value
+        return self.recorder.read("attr", base, attr)
 
     def _resolve_subscript(self, base: Any, index: Any) -> Any:
         if isinstance(base, AnyOf):
@@ -311,33 +295,20 @@ class _Analyzer:
         if isinstance(base, Memory):
             # The memory itself is the dependency; elements are runtime values.
             return _FAIL
-        if isinstance(base, (list, tuple)):
+        if isinstance(base, (list, tuple, dict)):
             if index is not _FAIL and not isinstance(index, AnyOf):
-                try:
-                    return base[index]
-                except (IndexError, TypeError, KeyError):
-                    return _FAIL
-            if base:
-                return AnyOf(list(base)) if len(base) > 1 else base[0]
-            return _FAIL
-        if isinstance(base, dict):
-            if index is not _FAIL and not isinstance(index, AnyOf):
-                try:
-                    return base[index]
-                except (KeyError, TypeError):
-                    return _FAIL
-            values = list(base.values())
-            if values:
-                return AnyOf(values) if len(values) > 1 else values[0]
-            return _FAIL
+                return self.recorder.read("item", base, index)
+            values = self.recorder.read("scan", base, False)
+            if values is _PLAIN:
+                return _FAIL
+            return AnyOf(values) if len(values) > 1 else values[0]
         return _FAIL
 
     def _iter_elements(self, value: Any) -> Optional[List[Any]]:
         """Elements of a resolvable iterable, or None."""
-        if isinstance(value, (list, tuple)):
-            return list(value)
-        if isinstance(value, dict):
-            return list(value)
+        if isinstance(value, (list, tuple, dict)):
+            elements = self.recorder.read("scan", value, True)
+            return [] if elements is _PLAIN else list(elements)
         if isinstance(value, AnyOf):
             out: List[Any] = []
             for opt in value.options:
@@ -747,7 +718,8 @@ class _Analyzer:
         if func is _FAIL and isinstance(node.func, ast.Attribute):
             base = self.resolve(node.func.value)
             if base is not _FAIL and not isinstance(base, AnyOf):
-                method = inspect.getattr_static(type(base), node.func.attr, _FAIL) \
+                method = self.recorder.read("type_attr", base,
+                                            node.func.attr) \
                     if not inspect.isclass(base) else _FAIL
                 if callable(method) and method is not _FAIL:
                     func, bound_self = method, base
@@ -764,15 +736,16 @@ class _Analyzer:
                 and len(node.args) == 1 and not node.keywords:
             base = self.resolve(node.func.value)
             state_name = self.resolve(node.args[0])
-            if base is not _FAIL and not isinstance(base, AnyOf) \
-                    and _is_fsm_like(base) and isinstance(state_name, str):
-                self.reads.add(base.state)
-                try:
-                    code = base.encode(state_name)
-                except Exception:
+            state = self.recorder.read("fsm_state", base) \
+                if base is not _FAIL and not isinstance(base, AnyOf) \
+                and isinstance(state_name, str) else _FAIL
+            if state is not _FAIL:
+                self.reads.add(state)
+                code = self.recorder.read("encode", base, state_name)
+                if code is _RAISED:
                     self.bail(f"unknown FSM state {state_name!r}")
                     return
-                self.note(node, (base.state, code))
+                self.note(node, (state, code))
                 return
 
         # getattr(obj, "attr") resolving to a signal: handled by resolve();
@@ -817,9 +790,8 @@ class _Analyzer:
             self.recurse_into(func, bound_self)
 
     def recurse_into(self, func: Callable, bound_self: Any) -> None:
-        if isinstance(func, (classmethod, staticmethod)):
-            func = func.__func__
-        inner = getattr(func, "__func__", func)  # unwrap bound methods
+        # Unwraps bound, class and static methods.
+        inner, actual_self = self.recorder.read("callee", func, bound_self)
         key = (inner, id(bound_self))
         if key in self.call_stack:
             return
@@ -833,9 +805,9 @@ class _Analyzer:
         if parsed is None:
             self.bail(f"no source for {getattr(inner, '__name__', inner)}")
             return
-        sub = _Analyzer(self.analysis, _closure_env(inner),
+        sub = _Analyzer(self.analysis, inner, self.recorder,
                         depth=self.depth + 1,
-                        call_stack=self.call_stack | {key}, memo=self.memo)
+                        call_stack=self.call_stack | {key})
         sub.reads = self.reads
         sub.writes = self.writes
         sub.mem_reads = self.mem_reads
@@ -847,7 +819,6 @@ class _Analyzer:
             params.append(parsed.args.kwarg.arg)
         for param in params:
             sub.locals[param] = _FAIL
-        actual_self = getattr(func, "__self__", bound_self)
         if params and actual_self is not None:
             sub.locals[params[0]] = actual_self
         # Recursion only needs reads/writes; transpilability is already off.
@@ -874,14 +845,17 @@ def _is_literal(obj: Any) -> bool:
 
 
 def analyze_proc(proc: Callable[[], None], sequential: bool = False,
-                 memo: Optional[Dict[Any, Any]] = None) -> ProcAnalysis:
+                 recorder: Optional[Recorder] = None) -> ProcAnalysis:
     """Analyse one process.
 
     For a combinational process, returns a :class:`ProcAnalysis` whose
     ``reads``/``writes`` over-approximate every branch of the process.  For a
     ``sequential`` one, only the notes on its own body are collected.  The
-    processes of one design share a resolution ``memo``.
+    processes of one design share a :class:`Recorder`, which every read of
+    instance state goes through.
     """
+    if recorder is None:
+        recorder = Recorder([proc])
     analysis = ProcAnalysis(proc=proc)
     parsed = _parse_proc(proc)
     if parsed is None:
@@ -889,8 +863,7 @@ def analyze_proc(proc: Callable[[], None], sequential: bool = False,
         analysis.opaque_reasons.append("source unavailable")
         return analysis
     analysis.tree = parsed
-    walker = _Analyzer(analysis, _closure_env(proc), recurse=not sequential,
-                       memo=memo)
+    walker = _Analyzer(analysis, proc, recorder, recurse=not sequential)
     if sequential:
         walker.visit_body(parsed.body)
         return analysis

@@ -27,7 +27,8 @@ Two settle strategies implement that contract:
     True combinational feedback iterates in small local groups; processes
     the analyser cannot fully resolve demote the settle to a guarded
     convergence loop, so the strategy is never wrong, merely slower on
-    such designs.
+    such designs.  A design whose structure this process compiled before
+    reuses that compile from the recipe cache (:mod:`repro.rtl.compile`).
 
 ``strategy="fixpoint"``
     The classic evaluate-everything discipline: all combinational processes
@@ -128,12 +129,17 @@ class Simulator:
                 mem._sched = self
             compile_start = time.perf_counter()
             with _obs_tracing.span("compile", strategy=COMPILED,
-                                   design=type(top).__name__):
+                                   design=type(top).__name__) as span:
                 self._program = compile_design(self._comb, self._seq,
                                                max_settle=max_settle)
+                span.args["recipe"] = ("hit" if self._program.cached
+                                       else "miss")
+            if self._program.report.guarded:
+                REGISTRY.inc("compile_guarded")
             if profiler is not None:
                 profiler.record_compile(time.perf_counter() - compile_start,
-                                        self._program.report)
+                                        self._program.report,
+                                        hit=self._program.cached)
             #: Generated Python source of the specialised settle/cycle pair.
             self.compiled_source = self._program.source
             #: :class:`~repro.rtl.compile.emit.CompileReport` for this design.
@@ -263,6 +269,7 @@ class Simulator:
         del written[:]
         if missed:
             self.analysis_misses += 1
+            REGISTRY.inc("compile_analysis_misses")
             self._settle_fixpoint()
             del self._written[:]
 
@@ -274,6 +281,7 @@ class Simulator:
         del self._written[:]
         if changed:
             self.analysis_misses += 1
+            REGISTRY.inc("compile_analysis_misses")
             raise SimulationError(
                 "compiled settle did not reach the fixpoint oracle's fixed "
                 "point; the static analysis missed a dependency")

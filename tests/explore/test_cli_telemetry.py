@@ -11,6 +11,7 @@ import pytest
 import repro.verify.__main__ as verify_cli
 from repro.explore.__main__ import main as explore_main
 from repro.obs import export, profile, tracing
+from repro.rtl.compile import _clear_recipes
 from repro.search.__main__ import main as search_main
 from repro.serve import ResultStore
 from repro.serve.server import SweepServer
@@ -32,6 +33,9 @@ def _run(tmp_path, *extra):
 
 
 def test_trace_flag_writes_validating_trace(tmp_path, capsys):
+    # A fresh CLI process compiles both points cold; recipes other tests
+    # left in this process must not shorten the points.
+    _clear_recipes()
     trace = tmp_path / "sweep.ndjson"
     assert _run(tmp_path, "--trace", str(trace)) == 0
     out = capsys.readouterr().out

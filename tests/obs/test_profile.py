@@ -11,6 +11,7 @@ import pytest
 from repro.designs import VideoSystem, build_blur_pattern, build_saa2vga_pattern
 from repro.obs import profile, tracing
 from repro.rtl import Component, Simulator
+from repro.rtl.compile import _clear_recipes
 from repro.video import random_frame
 
 DESIGNS = {
@@ -85,3 +86,19 @@ def test_compile_line_counts_generic_procs():
     profile.disable()
     assert count.value == 3
     assert "0 opaque proc(s), 1 generic proc(s)" in profiler.report()
+
+
+def test_compile_line_counts_recipe_cache_hits():
+    """The second construction of a design is served from the recipe
+    cache, and the ``compile:`` line says so."""
+    _clear_recipes()
+    profiler = profile.enable()
+    stream("fifo", "compiled")
+    stream("fifo", "compiled")
+    profile.disable()
+    total = sum(entry["seconds"] for entry in profiler.compiles)
+    assert [line for line in profiler.report().splitlines()
+            if line.startswith("compile:")] == [
+        f"compile: 2 construction(s), 1 from the recipe cache, "
+        f"{total:.3f} s total; 0 cyclic group(s), 0 opaque proc(s), "
+        f"0 generic proc(s)"]

@@ -13,6 +13,7 @@ import pytest
 from repro.obs import export, tracing
 from repro.obs.__main__ import main as obs_main
 from repro.rtl import Component, Simulator
+from repro.rtl.compile import _clear_recipes
 
 
 class Blinker(Component):
@@ -27,6 +28,8 @@ class Blinker(Component):
 
 @pytest.fixture()
 def records():
+    # A cold compile, so the compile span has analyze/schedule/emit children.
+    _clear_recipes()
     tracing.disable()
     tracing.drain()
     tracing.enable()

@@ -22,7 +22,12 @@ from repro.rtl import (
     Recorder,
     Simulator,
 )
-from repro.rtl.compile import analyze_proc, build_schedule, compile_design
+from repro.rtl.compile import (
+    _clear_recipes,
+    analyze_proc,
+    build_schedule,
+    compile_design,
+)
 
 
 # -- helper designs --------------------------------------------------------------
@@ -423,10 +428,14 @@ def test_compile_design_report_counts():
 
 
 def test_source_cache_makes_recompiles_cheap():
-    """Two instances of the same class share process code objects."""
+    """Two instances of the same class share process code objects, so the
+    second is served from the recipe cache."""
+    _clear_recipes()
     first = Simulator(_Plumbing(), strategy=COMPILED)
     second = Simulator(_Plumbing(), strategy=COMPILED)
-    assert first.compiled_source == second.compiled_source
+    assert not first._program.cached
+    assert second._program.cached
+    assert second.compiled_source is first.compiled_source
     # The sequential body is emitted specialised onto slots.
     assert "def _mk_q0(self):" in first.compiled_source
     assert "    def advance(" in first.compiled_source
