@@ -35,6 +35,9 @@ import sys
 #: mask a regression.
 FLOORS = [
     ("saa2vga_fifo", "compiled", "fixpoint", 2.0),
+    # FSM- and SRAM-bound: the dissolved FSM.goto and SRAM handshakes
+    # (mirrors test_compiled_backend_speedup_on_sram).
+    ("saa2vga_sram", "compiled", "fixpoint", 7.0),
     ("blur_pattern", "compiled", "fixpoint", 1.5),
     # Telemetry (repro.obs): compiled throughput measured after a tracing/
     # profiling enable+disable cycle must stay within 3% of the plain

@@ -8,8 +8,9 @@ Python function per design (:mod:`~repro.rtl.compile.emit`): slot-indexed
 signal access, inlined bit-width masks, fused write+commit, topologically
 ordered process bodies.  The processes it cannot dissolve — every
 sequential process and every combinational call unit — run as copies of
-their own bodies specialised onto the same slots, and the clock edge
-commits their writes with emitted lines.  It is the software analogue of
+their own bodies specialised onto the same slots, with an FSM's own
+``goto``/``stay`` and memory stores inlined, and the clock edge commits
+their writes with emitted lines.  It is the software analogue of
 the paper's wrapper dissolution — the generic scheduler disappears into
 design-specific straight-line code.
 

@@ -13,8 +13,10 @@ those sets from the process's abstract syntax tree:
 * dynamic subscripts into Python containers of signals
   (``self._regs[addr].value``) over-approximate to *every* element;
   into containers of plain scalars they are runtime values;
-* calls into resolvable helpers (``self._budget_open()``, ``fsm.is_in(...)``,
-  local closure functions) are analysed recursively;
+* calls into resolvable helpers (``self._budget_open()``, local closure
+  functions) are analysed recursively, except ``FSM.is_in``, ``FSM.goto``
+  and ``FSM.stay`` themselves called with a literal state name, which are
+  noted as reads and writes of the state register;
 * anything that cannot be resolved marks the process *opaque*, which the
   emitter handles with a convergence loop instead of a single pass — slower
   but always correct.
@@ -38,7 +40,8 @@ is a runtime value, like a ``Memory`` word, so such data never enters a
 guard and its length never slows the analysis.
 
 Every walk also leaves *notes*: which AST node resolved to which signal,
-memory or FSM state.  The emitter uses them to specialise the bodies it
+memory or FSM state, and which calls are an FSM's own ``goto``/``stay``
+(:class:`FsmStep`).  The emitter uses them to specialise the bodies it
 does not dissolve (sequential processes and combinational call units)
 onto slots.  A sequential process is analysed with ``sequential=True``:
 its helpers are not entered, because only the notes of its own body are
@@ -55,6 +58,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..bits import Bits
 from ..component import Memory
+from ..fsm import FSM
 from ..signal import Signal
 from .guard import _FAIL, _MISSING, _PLAIN, _RAISED, Recorder
 
@@ -87,6 +91,17 @@ class AnyOf:
 
     def __repr__(self) -> str:
         return f"AnyOf({len(self.options)} options)"
+
+
+@dataclass(frozen=True)
+class FsmStep:
+    """A noted ``fsm.goto("S")`` (``code`` is S's encoding) or
+    ``fsm.stay()`` (``code`` is None) on the FSM ``fsm``, whose state
+    register is ``state``."""
+
+    fsm: Any
+    state: Signal
+    code: Optional[int] = None
 
 
 @dataclass
@@ -730,23 +745,9 @@ class _Analyzer:
                     and not inspect.ismodule(base) and not inspect.isclass(base):
                 bound_self = base
 
-        # fsm.is_in("NAME"): reads the FSM state register; transpiles to an
-        # integer comparison against the state's encoding.
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "is_in" \
-                and len(node.args) == 1 and not node.keywords:
-            base = self.resolve(node.func.value)
-            state_name = self.resolve(node.args[0])
-            state = self.recorder.read("fsm_state", base) \
-                if base is not _FAIL and not isinstance(base, AnyOf) \
-                and isinstance(state_name, str) else _FAIL
-            if state is not _FAIL:
-                self.reads.add(state)
-                code = self.recorder.read("encode", base, state_name)
-                if code is _RAISED:
-                    self.bail(f"unknown FSM state {state_name!r}")
-                    return
-                self.note(node, (state, code))
-                return
+        if (func is FSM.is_in or func is FSM.goto or func is FSM.stay) \
+                and self.visit_fsm_call(node, func):
+            return
 
         # getattr(obj, "attr") resolving to a signal: handled by resolve();
         # the caller records the read via the surrounding .value access.
@@ -788,6 +789,48 @@ class _Analyzer:
             self.visit_expr(kw.value)
         if self.recurse:
             self.recurse_into(func, bound_self)
+
+    def visit_fsm_call(self, node: ast.Call, method: Callable) -> bool:
+        """Note a call of ``FSM.is_in``, ``FSM.goto`` or ``FSM.stay`` itself
+        (a subclass override stays an ordinary helper) on one FSM whose
+        state register resolves.  ``fsm.is_in("S")`` reads the register and
+        transpiles to an integer compare against S's encoding; a goto or a
+        stay reads and writes it.  The state name must be a string literal:
+        any other argument (``self.after``, a closure cell) is Python-side
+        state the body may rebind at run time, so baking its value into the
+        generated code would be wrong.  False leaves the call a helper."""
+        nargs = 0 if method is FSM.stay else 1
+        if len(node.args) != nargs or node.keywords:
+            return False
+        if nargs and not (isinstance(node.args[0], ast.Constant)
+                          and isinstance(node.args[0].value, str)):
+            return False
+        state_name = node.args[0].value if nargs else None
+        base = self.resolve(node.func.value)
+        if base is _FAIL or isinstance(base, AnyOf):
+            return False
+        state = self.recorder.read("fsm_state", base)
+        if state is _FAIL:
+            return False
+        self.reads.add(state)
+        if method is FSM.stay:
+            self.not_transpilable()
+            self.writes.add(state)
+            self.note(node, FsmStep(base, state))
+            return True
+        code = self.recorder.read("encode", base, state_name)
+        if method is FSM.is_in:
+            if code is _RAISED:
+                self.bail(f"unknown FSM state {state_name!r}")
+            else:
+                self.note(node, (state, code))
+            return True
+        if type(code) is not int:  # raised: the helper raises at run time
+            return False
+        self.not_transpilable()
+        self.writes.add(state)
+        self.note(node, FsmStep(base, state, code))
+        return True
 
     def recurse_into(self, func: Callable, bound_self: Any) -> None:
         # Unwraps bound, class and static methods.

@@ -18,25 +18,30 @@ one specialised Python module per design:
   emitted as a specialised copy of its own body: resolved ``sig.value`` /
   ``sig.next`` reads become slot reads, ``sig.next = v`` becomes
   ``_sN._next = int(v) & MASK`` (no ``int()`` where ``v`` is an int by
-  construction), ``fsm.is_in("S")`` an integer compare and memory reads
-  index ``_mN._data`` directly.  Everything else stays the
-  process's own Python, bound to its own globals and closure cells;
-  ``cycle()`` commits the sequential writes the copies own with one
-  ``_sN._value = _sN._next`` line each.  Writes the rewrite does not own
-  (helpers such as ``FSM.goto``) still go through ``Signal.next`` and the
-  simulator's ``_written`` list.
+  construction), an FSM's own ``fsm.is_in("S")`` an integer compare, its
+  ``fsm.goto("S")`` a write of S's code to the state slot plus one store
+  into the FSM's transition record (``_fK``), its ``fsm.stay()`` a slot
+  copy (each only with a literal state name), memory reads index
+  ``_mN._data`` directly, and a store into a memory whose class keeps
+  ``Memory.__setitem__`` becomes ``_mN._data[int(i) % DEPTH] = int(v) &
+  MASK``.  Everything else stays the process's own Python, bound to its
+  own globals and closure cells; ``cycle()`` commits the sequential writes
+  the copies own with one ``_sN._value = _sN._next`` line each.  Writes
+  the rewrite does not own (helpers such as ``self._complete_access()``,
+  or an FSM subclass's own ``goto``) still go through ``Signal.next`` and
+  the simulator's ``_written`` list.
 
 The generated source is kept on the simulator (``sim.compiled_source``) so
 it can be inspected, diffed and unit-tested like any other artefact.
 
-The module names no design object: it reads its signals, memories and
-processes from the slot tables ``_SIGS``/``_MEMS``/``_PROCS``/``_SEQS``
-(:func:`load` binds them), and everything it bakes — masks, memory
-depths, FSM codes and literal notes — is a value the analyser's
-:class:`~repro.rtl.compile.guard.Recorder` logged as a fact.  So one
-compiled module serves every design whose guard replays (see
-:mod:`repro.rtl.compile`); the ``_uid`` order of call-unit commits only
-orders independent assignments and needs no guard.
+The module names no design object: it reads its signals, memories, FSMs
+and processes from the slot tables ``_SIGS``/``_MEMS``/``_FSMS``/
+``_PROCS``/``_SEQS`` (:func:`load` binds them), and everything it bakes —
+masks, memory depths and types, FSM codes and methods, literal notes — is
+a value the analyser's :class:`~repro.rtl.compile.guard.Recorder` logged
+as a fact.  So one compiled module serves every design whose guard
+replays (see :mod:`repro.rtl.compile`); the ``_uid`` order of call-unit
+commits only orders independent assignments and needs no guard.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..component import Memory
 from ..errors import CombinationalLoopError
 from ..signal import Signal
-from .analyze import ProcAnalysis
+from .analyze import FsmStep, ProcAnalysis
 from .schedule import Schedule, Unit
 
 
@@ -111,7 +116,8 @@ class EmittedModule:
     codes: Tuple[types.CodeType, ...]
     source: str
     report: CompileReport
-    #: ``_SIGS``/``_MEMS``/``_PROCS``/``_SEQS`` -> the objects bound.
+    #: ``_SIGS``/``_MEMS``/``_FSMS``/``_PROCS``/``_SEQS`` -> the objects
+    #: bound.
     tables: Dict[str, List[object]]
 
 
@@ -121,9 +127,12 @@ class _Slots:
     def __init__(self) -> None:
         self.signals: Dict[Signal, str] = {}
         self.memories: Dict[Memory, str] = {}
+        #: ``id(fsm)`` -> slot name (an FSM subclass may define ``__eq__``).
+        self.fsms: Dict[int, str] = {}
         self.procs: Dict[int, str] = {}
         self._sig_objects: List[Signal] = []
         self._mem_objects: List[Memory] = []
+        self.fsm_objects: List[object] = []
         self._proc_objects: List[Callable] = []
 
     def signal(self, sig: Signal) -> str:
@@ -140,6 +149,14 @@ class _Slots:
             name = f"_m{len(self._mem_objects)}"
             self.memories[mem] = name
             self._mem_objects.append(mem)
+        return name
+
+    def fsm(self, fsm) -> str:
+        name = self.fsms.get(id(fsm))
+        if name is None:
+            name = f"_f{len(self.fsm_objects)}"
+            self.fsms[id(fsm)] = name
+            self.fsm_objects.append(fsm)
         return name
 
     def proc(self, index: int, func: Callable) -> str:
@@ -161,9 +178,10 @@ class _Transpiler(ast.NodeTransformer):
     * ``"guarded"`` — a dissolved statement in a converging group: commit
       and flag only on change;
     * ``"next"`` — a specialised process body: ``_sN._next = int(v) & MASK``,
-      committed by the caller.  This form rewrites only slot accesses and
-      ``fsm.is_in``; constants, bare signal objects and local names stay the
-      body's own Python.
+      committed by the caller.  This form rewrites only slot accesses,
+      stores into a memory that keeps ``Memory.__setitem__`` and an FSM's
+      own ``is_in``/``goto``/``stay`` on a literal state name; constants,
+      bare signal objects and local names stay the body's own Python.
     """
 
     def __init__(self, analysis: ProcAnalysis, slots: _Slots,
@@ -186,7 +204,8 @@ class _Transpiler(ast.NodeTransformer):
 
     def _slot(self, obj) -> str:
         name = (self.slots.signal(obj) if isinstance(obj, Signal)
-                else self.slots.memory(obj))
+                else self.slots.memory(obj) if isinstance(obj, Memory)
+                else self.slots.fsm(obj))
         self.used.add(name)
         return name
 
@@ -260,6 +279,9 @@ class _Transpiler(ast.NodeTransformer):
     # -- statements ------------------------------------------------------------
 
     def visit_Expr(self, node: ast.Expr):
+        step = self.notes.get(id(node.value))
+        if self.specialise and isinstance(step, FsmStep):
+            return self._fsm_step(step)
         # Bare reads (sensitivity anchors) schedule dependencies but emit no
         # runtime work in a dissolved statement.
         transformed = self.visit(node.value)
@@ -268,11 +290,58 @@ class _Transpiler(ast.NodeTransformer):
             return None
         return ast.Expr(value=transformed)
 
+    def _fsm_step(self, step: FsmStep) -> List[ast.stmt]:
+        """``fsm.goto("S")``: ``_sN._next = CODE`` and one transition
+        record, ``_fK[_sN._value, CODE] = None``; ``fsm.stay()``:
+        ``_sN._next = _sN._value``."""
+        state = step.state
+        self.written.add(state)
+        target = self._slot_attr(state, "_next", ast.Store())
+        if step.code is None:
+            return [ast.Assign(targets=[target], value=self._slot_attr(state),
+                               lineno=0)]
+        record = ast.Subscript(
+            value=ast.Name(id=self._slot(step.fsm), ctx=ast.Load()),
+            slice=ast.Tuple(elts=[self._slot_attr(state),
+                                  ast.Constant(value=step.code)],
+                            ctx=ast.Load()),
+            ctx=ast.Store())
+        return [ast.Assign(targets=[target],
+                           value=_apply_mask(ast.Constant(value=step.code),
+                                             state._mask),
+                           lineno=0),
+                ast.Assign(targets=[record], value=ast.Constant(value=None),
+                           lineno=0)]
+
+    def _memory_store(self, mem: Memory, target: ast.Subscript,
+                      value: ast.expr) -> ast.Assign:
+        """``mem[i] = v`` as ``_mN._data[int(i) % DEPTH] = int(v) & MASK``,
+        the coercions ``Memory.__setitem__`` applies.  It does not call
+        ``notify_memory``: the dirty mark that sets is dead here, because
+        every settle ends with ``sim._dirty = False`` and ``cycle()``
+        always settles after the clock edge.  ``_data`` is indexed
+        through the memory slot, because ``Memory.reset`` rebinds it."""
+        value = _apply_mask(_as_int(self.visit(value)), mem._mask)
+        index = ast.BinOp(left=_as_int(self.visit(target.slice)),
+                          op=ast.Mod(), right=ast.Constant(value=mem.depth))
+        data = ast.Attribute(value=ast.Name(id=self._slot(mem), ctx=ast.Load()),
+                             attr="_data", ctx=ast.Load())
+        return ast.Assign(targets=[ast.Subscript(value=data, slice=index,
+                                                 ctx=ast.Store())],
+                          value=value, lineno=0)
+
     def visit_Assign(self, node: ast.Assign):
         target = node.targets[0]
         noted = self.notes.get(id(target), _MISSING) \
-            if isinstance(target, ast.Attribute) else _MISSING
-        if not isinstance(noted, Signal) or len(node.targets) > 1:
+            if isinstance(target, (ast.Attribute, ast.Subscript)) else _MISSING
+        # A subclass's own ``__setitem__`` stays a call; the memory's type
+        # is a guard fact, so a cached recipe keeps this decision exact.
+        if self.specialise and isinstance(noted, Memory) \
+                and type(noted).__setitem__ is Memory.__setitem__ \
+                and isinstance(target, ast.Subscript) and len(node.targets) == 1:
+            return self._memory_store(noted, target, node.value)
+        if not isinstance(noted, Signal) or len(node.targets) > 1 \
+                or not isinstance(target, ast.Attribute):
             return self.generic_visit(node)
         value = self.visit(node.value)
         if self.specialise:
@@ -309,7 +378,7 @@ def _is_const(obj) -> bool:
 
 
 #: The slot parameters of a specialised copy (a body must not use them).
-_SLOT_NAME = re.compile(r"_[sm]\d+\Z")
+_SLOT_NAME = re.compile(r"_[smf]\d+\Z")
 
 #: Operators whose result is an int whenever both operands are.
 _INT_OPS = (ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.Mod, ast.BitAnd,
@@ -575,6 +644,7 @@ class Emitter:
         tables: Dict[str, List[object]] = {
             "_SIGS": list(self.slots.signals),
             "_MEMS": list(self.slots.memories),
+            "_FSMS": list(self.slots.fsm_objects),
             "_PROCS": [self.comb_procs[index] for index in self.slots.procs],
             "_SEQS": [analysis.proc for analysis in self.seq_analyses],
         }
@@ -619,8 +689,11 @@ class Emitter:
         )
 
 
-#: The namespace table behind each slot prefix.
-_TABLES = {"s": "_SIGS", "m": "_MEMS", "p": "_PROCS", "q": "_SEQS"}
+#: The namespace table behind each slot prefix, and what a slot binds of
+#: its entry: an FSM slot binds the FSM's transition record.
+_TABLES = {"s": "_SIGS", "m": "_MEMS", "f": "_FSMS", "p": "_PROCS",
+           "q": "_SEQS"}
+_BINDS = {"f": "._transitions"}
 
 
 def _slot_key(name: str):
@@ -630,8 +703,9 @@ def _slot_key(name: str):
 def _params(names: Sequence[str]) -> str:
     """A parameter list binding each slot name to its object as a default:
     one ``LOAD_FAST`` per use."""
-    return ", ".join(name if name == "sim"
-                     else f"{name}={_TABLES[name[1]]}[{name[2:]}]"
+    return ", ".join(name if name == "sim" else
+                     f"{name}={_TABLES[name[1]]}[{name[2:]}]"
+                     f"{_BINDS.get(name[1], '')}"
                      for name in names)
 
 

@@ -3,9 +3,16 @@
 The algorithms in the paper (stream copy, blur) are "implemented as a finite
 state machine handling the buffer signals and sequencing the read and write
 operations".  :class:`FSM` packages the recurring bookkeeping: symbolic state
-names, a state register of the right width, and transition recording that
-feeds both debugging and the synthesis estimator (state count and transition
-count drive the LUT estimate of the control logic).
+names, a state register of the right width, and a record of the transitions
+taken in simulation, for debugging and for the differential tests that
+compare settle strategies.
+
+The compiled simulator dissolves :meth:`FSM.goto` and :meth:`FSM.stay` in
+the process bodies it specialises (:mod:`repro.rtl.compile`): a goto
+becomes a write of the target's code to the state register's slot plus
+one store into :attr:`FSM._transitions`, which the generated code binds
+once.  So that dict is never rebound, and a goto records the same
+``(source code, target code)`` key under every strategy.
 """
 
 from __future__ import annotations
@@ -31,7 +38,9 @@ class FSM:
                 fsm.goto("READ")
 
     State names become attributes holding their binary encoding, so
-    ``fsm.IDLE == 0``; the underlying register is :attr:`state`.
+    ``fsm.IDLE == 0``; the underlying register is :attr:`state`.  A state
+    name may not shadow an attribute the FSM already has (``state``,
+    ``goto``, ``width``, ...).
     """
 
     def __init__(self, component: Component, states: List[str],
@@ -50,9 +59,14 @@ class FSM:
         width = clog2(len(states)) if len(states) > 1 else 1
         self.state: Signal = component.state(
             width=width, init=self._encoding[initial], name=f"{name}_state")
-        self._transitions: List[Tuple[str, str]] = []
-        self._transition_set: set = set()
+        #: ``(source code, target code)`` of every goto, in first-seen
+        #: order (a dict used as an ordered set; never rebound).
+        self._transitions: Dict[Tuple[int, int], None] = {}
         for state_name, code in self._encoding.items():
+            if hasattr(type(self), state_name) or state_name in vars(self):
+                raise ElaborationError(
+                    f"FSM state name {state_name!r} collides with an "
+                    f"attribute of FSM {name!r}")
             setattr(self, state_name, code)
 
     # -- encode / decode -------------------------------------------------------
@@ -85,11 +99,7 @@ class FSM:
     def goto(self, state_name: str) -> None:
         """Schedule a transition to ``state_name`` for the next cycle."""
         target = self.encode(state_name)
-        source = self.current
-        key = (source, state_name)
-        if key not in self._transition_set:
-            self._transition_set.add(key)
-            self._transitions.append(key)
+        self._transitions[self.state.value, target] = None
         self.state.next = target
 
     def stay(self) -> None:
@@ -107,8 +117,12 @@ class FSM:
         return self.state.width
 
     def observed_transitions(self) -> List[Tuple[str, str]]:
-        """Distinct (source, target) transitions taken so far in simulation."""
-        return list(self._transitions)
+        """Distinct (source, target) transitions taken so far in simulation,
+        in first-seen order.  Raises :class:`ElaborationError` when a
+        transition left a code no state has (only :meth:`Signal.force` can
+        put one in the register)."""
+        return [(self.decode(source), self.decode(target))
+                for source, target in self._transitions]
 
     def __repr__(self) -> str:
         return f"FSM({self.name!r}, states={self.states}, current={self.current!r})"

@@ -22,8 +22,10 @@ Two settle strategies implement that contract:
     inlined bit-width masks and fused write+commit — a settle is a single
     pass with no scheduler overhead at all.  Sequential processes and the
     combinational processes settle calls whole run as copies of their
-    bodies specialised onto the same slots, and the clock edge commits
-    their writes with emitted lines rather than through ``Signal.next``.
+    bodies specialised onto the same slots, with ``FSM.goto``/``stay``
+    and memory stores inlined, and the clock edge commits their writes
+    with emitted lines rather than through ``Signal.next``.
+    :meth:`Simulator.run_until` calls the generated ``cycle()`` directly.
     True combinational feedback iterates in small local groups; processes
     the analyser cannot fully resolve demote the settle to a guarded
     convergence loop, so the strategy is never wrong, merely slower on
@@ -398,11 +400,18 @@ class Simulator:
                    max_cycles: Optional[int]) -> int:
         budget = self.max_cycles if max_cycles is None else max_cycles
         start = self._cycles
+        # Without a settle profiler a step is one call of the compiled
+        # ``cycle()``, so call it directly rather than through ``step()``
+        # and ``_step_plain()``; with one, each cycle stays a profiled step.
+        if self._strategy == COMPILED and _obs_profile._ACTIVE is None:
+            advance, arg = self._program.cycle, self
+        else:
+            advance, arg = self.step, 1
         while not condition():
             if self._cycles - start >= budget:
                 raise SimulationError(
                     f"condition not reached within {budget} cycles")
-            self.step()
+            advance(arg)
         return self._cycles - start
 
     def settle(self) -> int:

@@ -4,8 +4,9 @@ Two guarantees, both tier-1:
 
 * a settle/step loop with telemetry off emits **zero** span records and
   never even calls :func:`repro.obs.tracing.span`;
-* the per-cycle loop allocates **no objects from the obs package** — the
-  dispatch check at the top of ``Simulator.step`` is the entire cost.
+* the per-cycle loops (``step`` and ``run_until``) allocate **no objects
+  from the obs package** — the dispatch checks at the top of
+  ``Simulator.step`` and ``Simulator.run_until`` are the entire cost.
 
 The throughput side of the same promise is pinned by the
 ``compiled-obs-off`` floor in ``benchmarks/check_regression.py``.
@@ -74,6 +75,7 @@ def test_disabled_step_allocates_nothing_from_obs(strategy):
     try:
         before = tracemalloc.take_snapshot().filter_traces(filters)
         sim.step(500)
+        sim.run_until(lambda: sim.cycles >= 1050)
         after = tracemalloc.take_snapshot().filter_traces(filters)
     finally:
         tracemalloc.stop()

@@ -100,3 +100,10 @@ def test_repr_mentions_current_state():
     fsm = FSM(comp, ["A", "B"], name="ctrl")
     assert "ctrl" in repr(fsm)
     assert "A" in repr(fsm)
+
+
+@pytest.mark.parametrize("name", ["state", "goto", "width"])
+def test_state_name_may_not_shadow_an_fsm_attribute(name):
+    comp = Component("c")
+    with pytest.raises(ElaborationError, match=repr(name)):
+        FSM(comp, ["IDLE", name])
