@@ -14,7 +14,7 @@ frame yields a ``(H-2) x (W-2)`` output frame in raster order.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from ..interfaces import WindowIteratorIface
 from ..iterator import HardwareIterator
@@ -35,8 +35,15 @@ def blur_kernel(window: list) -> int:
     return sum(values) // 9
 
 
-class BlurAlgorithm(Algorithm):
-    """Streaming 3x3 box blur.
+class Window3x3Algorithm(Algorithm):
+    """Streaming 3x3 window datapath: one output pixel per accepted column.
+
+    Consumes one vertical 3-pixel column per step from a window iterator,
+    keeps the two previous columns in registers, and writes
+    ``pixel(window)`` through a forward output iterator for every
+    fully-interior window.  ``window`` holds the nine pixels column-major,
+    oldest column first, top to bottom.  The blur and the general
+    convolution differ only in ``pixel``.
 
     Parameters
     ----------
@@ -48,19 +55,18 @@ class BlurAlgorithm(Algorithm):
     line_width:
         Width in pixels of the input lines; used to restart the horizontal
         column history at each new line.
+    pixel:
+        The output pixel of a nine-pixel window.
     max_count:
         Optional budget of *output* pixels, after which ``finished`` rises.
     """
 
-    #: LUT cost hint of the 9-input adder tree plus the divide-by-9 constant
-    #: multiplier, consumed by the synthesis estimator.
-    logic_cost_luts = 96
-
     def __init__(self, name: str, win_it: HardwareIterator, out_it: HardwareIterator,
-                 line_width: int, max_count: Optional[int] = None) -> None:
+                 line_width: int, pixel: Callable[[list], int],
+                 max_count: Optional[int] = None) -> None:
         super().__init__(name, max_count=max_count)
         if not isinstance(win_it.iface, WindowIteratorIface):
-            raise TypeError("BlurAlgorithm needs a window iterator "
+            raise TypeError(f"{type(self).__name__} needs a window iterator "
                             "(rdata_top/mid/bot) on its input side")
         if line_width < 3:
             raise ValueError(f"line width must be >= 3 for a 3x3 filter, got {line_width}")
@@ -96,7 +102,7 @@ class BlurAlgorithm(Algorithm):
 
             window = [reg.value for col in self._hist for reg in col]
             window += [src.rdata_top.value, src.rdata_mid.value, src.rdata_bot.value]
-            dst.wdata.next = blur_kernel(window)
+            dst.wdata.next = pixel(window)
 
         @self.seq
         def control() -> None:
@@ -119,3 +125,18 @@ class BlurAlgorithm(Algorithm):
                 self._x.next = x + 1
             if emit_needed:
                 self._account(1)
+
+
+class BlurAlgorithm(Window3x3Algorithm):
+    """Streaming 3x3 box blur: a :class:`Window3x3Algorithm` whose output
+    pixel is :func:`blur_kernel` of the window (parameters as there,
+    without ``pixel``)."""
+
+    #: LUT cost hint of the 9-input adder tree plus the divide-by-9 constant
+    #: multiplier, consumed by the synthesis estimator.
+    logic_cost_luts = 96
+
+    def __init__(self, name: str, win_it: HardwareIterator, out_it: HardwareIterator,
+                 line_width: int, max_count: Optional[int] = None) -> None:
+        super().__init__(name, win_it, out_it, line_width, blur_kernel,
+                         max_count=max_count)

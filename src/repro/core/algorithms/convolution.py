@@ -13,10 +13,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..interfaces import WindowIteratorIface
 from ..iterator import HardwareIterator
-from .base import Algorithm
-from ...rtl import clog2
+from .blur import Window3x3Algorithm
 
 
 class Kernel3x3:
@@ -82,78 +80,28 @@ SHARPEN_KERNEL = Kernel3x3([0, -1, 0, -1, 8, -1, 0, -1, 0], shift=2, name="sharp
 EDGE_KERNEL = Kernel3x3([0, -1, 0, -1, 4, -1, 0, -1, 0], shift=0, name="edge")
 
 
-class Conv3x3Algorithm(Algorithm):
+class Conv3x3Algorithm(Window3x3Algorithm):
     """Streaming 3x3 convolution over a window iterator.
 
-    Structurally identical to :class:`BlurAlgorithm` (column history registers,
-    horizontal position counter, one output pixel per accepted column), but
-    the arithmetic is the supplied :class:`Kernel3x3`.
+    A :class:`~repro.core.algorithms.blur.Window3x3Algorithm`, like
+    :class:`~repro.core.algorithms.blur.BlurAlgorithm` (column history
+    registers, horizontal position counter, one output pixel per accepted
+    column), whose arithmetic is the supplied :class:`Kernel3x3`.
     """
 
     def __init__(self, name: str, win_it: HardwareIterator, out_it: HardwareIterator,
                  line_width: int, kernel: Kernel3x3,
                  max_count: Optional[int] = None) -> None:
-        super().__init__(name, max_count=max_count)
-        if not isinstance(win_it.iface, WindowIteratorIface):
-            raise TypeError("Conv3x3Algorithm needs a window iterator "
-                            "(rdata_top/mid/bot) on its input side")
-        if line_width < 3:
-            raise ValueError(f"line width must be >= 3 for a 3x3 filter, got {line_width}")
-        self.in_it = win_it
-        self.out_it = out_it
-        self.line_width = line_width
+        max_value = (1 << out_it.iface.width) - 1
+
+        def pixel(window: list) -> int:
+            return kernel.apply(window, max_value)
+
+        super().__init__(name, win_it, out_it, line_width, pixel,
+                         max_count=max_count)
         self.kernel = kernel
-        src = win_it.iface
-        dst = out_it.iface
-        self._check_iterator(dst, needs_write=True, role="output iterator")
-        width = src.width
-        self._max_value = (1 << dst.width) - 1
-        self.logic_cost_luts = kernel.estimated_luts(width)
-
-        self._hist = [
-            [self.state(width, name=f"{name}_c{col}_{row}") for row in range(3)]
-            for col in range(2)
-        ]
-        self._x = self.state(clog2(max(2, line_width)), name=f"{name}_x")
-
-        @self.comb
-        def datapath() -> None:
-            x = self._x.value
-            emit_needed = x >= 2
-            can_consume = src.can_read.value and self._budget_open()
-            if emit_needed:
-                can_consume = can_consume and dst.can_write.value
-            strobe = 1 if can_consume else 0
-
-            src.read.next = strobe
-            src.inc.next = strobe
-            dst.write.next = strobe if emit_needed else 0
-            dst.inc.next = strobe if emit_needed else 0
-
-            window = [reg.value for col in self._hist for reg in col]
-            window += [src.rdata_top.value, src.rdata_mid.value, src.rdata_bot.value]
-            dst.wdata.next = self.kernel.apply(window, self._max_value)
-
-        @self.seq
-        def control() -> None:
-            x = self._x.value
-            emit_needed = x >= 2
-            can_consume = src.can_read.value and self._budget_open()
-            if emit_needed:
-                can_consume = can_consume and dst.can_write.value
-            if not can_consume:
-                return
-            for row in range(3):
-                self._hist[0][row].next = self._hist[1][row].value
-            self._hist[1][0].next = src.rdata_top.value
-            self._hist[1][1].next = src.rdata_mid.value
-            self._hist[1][2].next = src.rdata_bot.value
-            if x + 1 >= self.line_width:
-                self._x.next = 0
-            else:
-                self._x.next = x + 1
-            if emit_needed:
-                self._account(1)
+        self._max_value = max_value
+        self.logic_cost_luts = kernel.estimated_luts(win_it.iface.width)
 
 
 def golden_convolve3x3(frame: List[List[int]], kernel: Kernel3x3,

@@ -19,7 +19,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Tuple, Type
 
 from ..rtl import Component
-from .interfaces import NONE, Traversal, format_traversals
+from .interfaces import (NONE, StreamSinkIface, StreamSourceIface, Traversal,
+                         format_traversals)
 
 
 class ContainerError(Exception):
@@ -160,3 +161,46 @@ def make_container(kind: str, binding: str, name: str, **params) -> Container:
 def classification_table() -> List[Dict[str, str]]:
     """Reproduce Table 1 of the paper from the registered abstract kinds."""
     return [cls.classification_row() for cls in CONTAINER_KINDS.values()]
+
+
+# ---------------------------------------------------------------------------
+# Wrapper glue shared by the bindings
+# ---------------------------------------------------------------------------
+#
+# Each helper registers one combinational process that closes over the
+# objects it wires, never over the owner, so every binding built from it
+# runs the same code object and the compiled simulator serves them from one
+# recipe.
+
+
+def wrap_core(owner: Component, core: Component, fill: StreamSinkIface,
+              drain: StreamSourceIface) -> None:
+    """Figure 4's wrapper: rename ``fill`` and ``drain`` onto a
+    first-word-fall-through FIFO or LIFO ``core`` (``din``/``push``/``full``
+    and ``dout``/``pop``/``empty``), as a comb process of ``owner``."""
+
+    @owner.comb
+    def wrap() -> None:
+        # Fill side: the producer pushes straight into the core.
+        core.din.next = fill.data.value
+        core.push.next = fill.push.value
+        fill.ready.next = 0 if core.full.value else 1
+        # Drain side: the core's head element falls through.
+        drain.data.next = core.dout.value
+        drain.valid.next = 0 if core.empty.value else 1
+        core.pop.next = drain.pop.value
+
+
+def forward(owner: Component, fill: StreamSinkIface, drain: StreamSourceIface,
+            inner: Component) -> None:
+    """Forward ``fill`` and ``drain`` to ``inner.fill`` and ``inner.drain``
+    (an embedded circular buffer), as a comb process of ``owner``."""
+
+    @owner.comb
+    def wrap() -> None:
+        inner.fill.data.next = fill.data.value
+        inner.fill.push.next = fill.push.value
+        fill.ready.next = inner.fill.ready.value
+        drain.data.next = inner.drain.data.value
+        drain.valid.next = inner.drain.valid.value
+        inner.drain.pop.next = drain.pop.value

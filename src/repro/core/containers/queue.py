@@ -9,7 +9,8 @@ queue over an external RAM" may lower overall system cost.
 
 from __future__ import annotations
 
-from ..container import Container, register_binding, register_kind
+from ..container import (Container, forward, register_binding, register_kind,
+                         wrap_core)
 from ..interfaces import F, StreamSinkIface, StreamSourceIface
 from ...primitives import SyncFIFO
 from ...verify import mutate
@@ -50,27 +51,19 @@ class QueueFIFO(Queue):
         self.fifo = self.child(SyncFIFO(f"{name}_fifo", depth=capacity, width=width))
 
         # Construction-time mutation switch (see repro.verify.mutate).
-        _ready_when_full = mutate.enabled("queue.ready_when_full")
-
-        def wrap() -> None:
-            self.fifo.din.next = self.sink.data.value
-            self.fifo.push.next = self.sink.push.value
-            self.sink.ready.next = 0 if self.fifo.full.value else 1
-            self.source.data.next = self.fifo.dout.value
-            self.source.valid.next = 0 if self.fifo.empty.value else 1
-            self.fifo.pop.next = self.source.pop.value
-
-        def wrap_always_ready() -> None:
-            # MUTATED (test-only): advertises ready even when full, so
-            # accepted pushes are silently dropped by the guarded FIFO.
-            self.fifo.din.next = self.sink.data.value
-            self.fifo.push.next = self.sink.push.value
-            self.sink.ready.next = 1
-            self.source.data.next = self.fifo.dout.value
-            self.source.valid.next = 0 if self.fifo.empty.value else 1
-            self.fifo.pop.next = self.source.pop.value
-
-        self.comb(wrap_always_ready if _ready_when_full else wrap)
+        if mutate.enabled("queue.ready_when_full"):
+            @self.comb
+            def wrap_always_ready() -> None:
+                # MUTATED (test-only): advertises ready even when full, so
+                # accepted pushes are silently dropped by the guarded FIFO.
+                self.fifo.din.next = self.sink.data.value
+                self.fifo.push.next = self.sink.push.value
+                self.sink.ready.next = 1
+                self.source.data.next = self.fifo.dout.value
+                self.source.valid.next = 0 if self.fifo.empty.value else 1
+                self.fifo.pop.next = self.source.pop.value
+        else:
+            wrap_core(self, self.fifo, self.sink, self.source)
 
     @property
     def occupancy(self) -> int:
@@ -94,15 +87,7 @@ class QueueSRAM(Queue):
         self.buffer = self.child(CircularBufferSRAM(
             f"{name}_cbuf", capacity=capacity, width=width,
             sram_latency=sram_latency))
-
-        @self.comb
-        def wrap() -> None:
-            self.buffer.fill.data.next = self.sink.data.value
-            self.buffer.fill.push.next = self.sink.push.value
-            self.sink.ready.next = self.buffer.fill.ready.value
-            self.source.data.next = self.buffer.drain.data.value
-            self.source.valid.next = self.buffer.drain.valid.value
-            self.buffer.drain.pop.next = self.source.pop.value
+        forward(self, self.sink, self.source, self.buffer)
 
     @property
     def occupancy(self) -> int:

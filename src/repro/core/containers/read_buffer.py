@@ -12,7 +12,8 @@ blur design (``"linebuffer3"``).
 
 from __future__ import annotations
 
-from ..container import Container, register_binding, register_kind
+from ..container import (Container, forward, register_binding, register_kind,
+                         wrap_core)
 from ..interfaces import F, NONE, StreamSinkIface, StreamSourceIface, WindowSourceIface
 from ...primitives import LineBuffer3, SyncFIFO
 from ...rtl import clog2
@@ -58,17 +59,7 @@ class ReadBufferFIFO(ReadBuffer):
     def __init__(self, name: str, width: int, capacity: int) -> None:
         super().__init__(name, width, capacity)
         self.fifo = self.child(SyncFIFO(f"{name}_fifo", depth=capacity, width=width))
-
-        @self.comb
-        def wrap() -> None:
-            # Fill side: environment pushes straight into the FIFO.
-            self.fifo.din.next = self.fill.data.value
-            self.fifo.push.next = self.fill.push.value
-            self.fill.ready.next = 0 if self.fifo.full.value else 1
-            # Source side: first-word-fall-through FIFO output.
-            self.source.data.next = self.fifo.dout.value
-            self.source.valid.next = 0 if self.fifo.empty.value else 1
-            self.fifo.pop.next = self.source.pop.value
+        wrap_core(self, self.fifo, self.fill, self.source)
 
     @property
     def occupancy(self) -> int:
@@ -97,17 +88,7 @@ class ReadBufferSRAM(ReadBuffer):
         self.buffer = self.child(CircularBufferSRAM(
             f"{name}_cbuf", capacity=capacity, width=width,
             sram_latency=sram_latency))
-
-        @self.comb
-        def wrap() -> None:
-            # Fill side forwards to the circular buffer's fill interface.
-            self.buffer.fill.data.next = self.fill.data.value
-            self.buffer.fill.push.next = self.fill.push.value
-            self.fill.ready.next = self.buffer.fill.ready.value
-            # Source side forwards the prefetched head element.
-            self.source.data.next = self.buffer.drain.data.value
-            self.source.valid.next = self.buffer.drain.valid.value
-            self.buffer.drain.pop.next = self.source.pop.value
+        forward(self, self.fill, self.source, self.buffer)
 
     @property
     def occupancy(self) -> int:

@@ -10,7 +10,7 @@ stack-pointer FSM when capacity matters; all three bindings are provided.
 
 from __future__ import annotations
 
-from ..container import Container, register_binding, register_kind
+from ..container import Container, register_binding, register_kind, wrap_core
 from ..interfaces import B, F, StreamSinkIface, StreamSourceIface
 from ...primitives import AsyncSRAM, SyncLIFO
 from ...rtl import FSM, clog2
@@ -49,15 +49,7 @@ class StackLIFO(Stack):
     def __init__(self, name: str, width: int, capacity: int) -> None:
         super().__init__(name, width, capacity)
         self.lifo = self.child(SyncLIFO(f"{name}_lifo", depth=capacity, width=width))
-
-        @self.comb
-        def wrap() -> None:
-            self.lifo.din.next = self.sink.data.value
-            self.lifo.push.next = self.sink.push.value
-            self.sink.ready.next = 0 if self.lifo.full.value else 1
-            self.source.data.next = self.lifo.dout.value
-            self.source.valid.next = 0 if self.lifo.empty.value else 1
-            self.lifo.pop.next = self.source.pop.value
+        wrap_core(self, self.lifo, self.sink, self.source)
 
     @property
     def occupancy(self) -> int:

@@ -8,7 +8,8 @@ sequential-output, forward-only.
 
 from __future__ import annotations
 
-from ..container import Container, register_binding, register_kind
+from ..container import (Container, forward, register_binding, register_kind,
+                         wrap_core)
 from ..interfaces import F, NONE, StreamSinkIface, StreamSourceIface
 from ...primitives import SyncFIFO
 from .circular_sram import CircularBufferSRAM
@@ -47,17 +48,7 @@ class WriteBufferFIFO(WriteBuffer):
     def __init__(self, name: str, width: int, capacity: int) -> None:
         super().__init__(name, width, capacity)
         self.fifo = self.child(SyncFIFO(f"{name}_fifo", depth=capacity, width=width))
-
-        @self.comb
-        def wrap() -> None:
-            # Sink side: algorithm pushes into the FIFO.
-            self.fifo.din.next = self.sink.data.value
-            self.fifo.push.next = self.sink.push.value
-            self.sink.ready.next = 0 if self.fifo.full.value else 1
-            # Drain side: environment pops from the FIFO.
-            self.drain.data.next = self.fifo.dout.value
-            self.drain.valid.next = 0 if self.fifo.empty.value else 1
-            self.fifo.pop.next = self.drain.pop.value
+        wrap_core(self, self.fifo, self.sink, self.drain)
 
     @property
     def occupancy(self) -> int:
@@ -81,17 +72,7 @@ class WriteBufferSRAM(WriteBuffer):
         self.buffer = self.child(CircularBufferSRAM(
             f"{name}_cbuf", capacity=capacity, width=width,
             sram_latency=sram_latency))
-
-        @self.comb
-        def wrap() -> None:
-            # Sink side forwards to the circular buffer's fill interface.
-            self.buffer.fill.data.next = self.sink.data.value
-            self.buffer.fill.push.next = self.sink.push.value
-            self.sink.ready.next = self.buffer.fill.ready.value
-            # Drain side forwards the prefetched head element.
-            self.drain.data.next = self.buffer.drain.data.value
-            self.drain.valid.next = self.buffer.drain.valid.value
-            self.buffer.drain.pop.next = self.drain.pop.value
+        forward(self, self.sink, self.drain, self.buffer)
 
     @property
     def occupancy(self) -> int:

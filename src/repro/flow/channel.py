@@ -17,6 +17,7 @@ two-wire-edge special case of a pipeline graph.
 
 from __future__ import annotations
 
+from ..core.container import wrap_core
 from ..core.interfaces import StreamSinkIface, StreamSourceIface
 from ..primitives import SyncFIFO
 from ..rtl import Component
@@ -51,15 +52,7 @@ class StreamChannel(Component):
         self.fill = StreamSinkIface(self, width, name=f"{name}_fill")
         self.drain = StreamSourceIface(self, width, name=f"{name}_drain")
         self.fifo = self.child(SyncFIFO(f"{name}_fifo", depth=depth, width=width))
-
-        @self.comb
-        def wrap() -> None:
-            self.fifo.din.next = self.fill.data.value
-            self.fifo.push.next = self.fill.push.value
-            self.fill.ready.next = 0 if self.fifo.full.value else 1
-            self.drain.data.next = self.fifo.dout.value
-            self.drain.valid.next = 0 if self.fifo.empty.value else 1
-            self.fifo.pop.next = self.drain.pop.value
+        wrap_core(self, self.fifo, self.fill, self.drain)
 
     @property
     def occupancy(self) -> int:

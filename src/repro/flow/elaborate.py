@@ -33,44 +33,29 @@ from .channel import StreamChannel
 from .graph import GRAPH_INPUT, GRAPH_OUTPUT, Edge, PipelineGraph
 
 
-def _bridge_source_to_sink(src: StreamSourceIface, dst: StreamSinkIface):
-    """Producer source iface -> consumer sink iface (the standard hop)."""
+def _handshake(iface) -> tuple:
+    """``(data, forward strobe, backward ack)`` of a stream interface:
+    ``valid``/``pop`` on a source-style one, ``push``/``ready`` on a
+    sink-style one."""
+    if isinstance(iface, StreamSourceIface) or hasattr(iface, "valid"):
+        return iface.data, iface.valid, iface.pop
+    return iface.data, iface.push, iface.ready
+
+
+def _bridge(src, dst):
+    """One hop: ``dst`` takes ``src``'s data and forward strobe, ``src``
+    takes ``dst``'s ack.  The same process serves every pairing of
+    source- and sink-style interfaces (producer to consumer, the external
+    fill to the first consumer, the last producer to the external drain,
+    and the degenerate fill-to-drain pass-through)."""
+    src_data, src_strobe, src_ack = _handshake(src)
+    dst_data, dst_strobe, dst_ack = _handshake(dst)
+
     def bridge() -> None:
-        dst.data.next = src.data.value
-        dst.push.next = src.valid.value
-        src.pop.next = dst.ready.value
+        dst_data.next = src_data.value
+        dst_strobe.next = src_strobe.value
+        src_ack.next = dst_ack.value
     return bridge
-
-
-def _bridge_sink_to_sink(src: StreamSinkIface, dst: StreamSinkIface):
-    """Pipeline's external fill -> first consumer (graph-input hop)."""
-    def bridge() -> None:
-        dst.data.next = src.data.value
-        dst.push.next = src.push.value
-        src.ready.next = dst.ready.value
-    return bridge
-
-
-def _bridge_source_to_source(src: StreamSourceIface, dst: StreamSourceIface):
-    """Last producer -> pipeline's external drain (graph-output hop)."""
-    def bridge() -> None:
-        dst.data.next = src.data.value
-        dst.valid.next = src.valid.value
-        src.pop.next = dst.pop.value
-    return bridge
-
-
-def _bridge_sink_to_source(src: StreamSinkIface, dst: StreamSourceIface):
-    """External fill straight to external drain (degenerate pass-through)."""
-    def bridge() -> None:
-        dst.data.next = src.data.value
-        dst.valid.next = src.push.value
-        src.ready.next = dst.pop.value
-    return bridge
-
-
-def _is_source_style(iface) -> bool:
-    return isinstance(iface, StreamSourceIface) or hasattr(iface, "valid")
 
 
 @dataclass(frozen=True)
@@ -158,19 +143,6 @@ class Pipeline(Component):
             dst_w = dst_iface.width
         return src_iface, src_w, dst_iface, dst_w
 
-    def _connect(self, src, dst) -> None:
-        """Register the right combinational bridge for an iface pair."""
-        if _is_source_style(src):
-            if _is_source_style(dst):
-                self.comb(_bridge_source_to_source(src, dst))
-            else:
-                self.comb(_bridge_source_to_sink(src, dst))
-        else:
-            if _is_source_style(dst):
-                self.comb(_bridge_sink_to_source(src, dst))
-            else:
-                self.comb(_bridge_sink_to_sink(src, dst))
-
     def _build_edge(self, edge: Edge) -> None:
         src_iface, src_w, dst_iface, dst_w = self._endpoints(edge)
         bus = edge.bus_width if edge.bus_width is not None else min(src_w, dst_w)
@@ -183,7 +155,7 @@ class Pipeline(Component):
                                       bus_width=bus)
             self.child(down)
             inserted.append(down)
-            self._connect(current, down.wide_in)
+            self.comb(_bridge(current, down.wide_in))
             current = down.narrow_out
 
         channel: Optional[StreamChannel] = None
@@ -191,7 +163,7 @@ class Pipeline(Component):
             channel = StreamChannel(f"{label}_ch", width=bus, depth=edge.depth)
             self.child(channel)
             self.channels.append(channel)
-            self._connect(current, channel.fill)
+            self.comb(_bridge(current, channel.fill))
             current = channel.drain
 
         if dst_w != bus:
@@ -199,10 +171,10 @@ class Pipeline(Component):
                                   bus_width=bus)
             self.child(up)
             inserted.append(up)
-            self._connect(current, up.narrow_in)
+            self.comb(_bridge(current, up.narrow_in))
             current = up.wide_out
 
-        self._connect(current, dst_iface)
+        self.comb(_bridge(current, dst_iface))
         self.adapters.extend(inserted)
         self.edge_instances.append(EdgeInstance(edge, channel, tuple(inserted)))
 

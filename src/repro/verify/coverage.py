@@ -22,7 +22,8 @@ container binding.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 #: What a bin can be declared as: an exact value, an inclusive (lo, hi)
 #: range, or a predicate.
@@ -280,19 +281,25 @@ class CoverageDB:
         self.add(data)
         return sorted(self._hit_goals(name) - before)
 
+    def _goals(self, name: Optional[str] = None
+               ) -> Iterator[Tuple[str, int]]:
+        """``(dotted goal name, hits)`` of every goal of one group, or of
+        every group, in :meth:`unhit` order (raises ``KeyError`` for an
+        unknown group)."""
+        for gname in sorted(self._groups) if name is None else (name,):
+            data = self._groups[gname]
+            for pname, bins in sorted(data.get("points", {}).items()):
+                for b, hits in sorted(bins.items()):
+                    yield f"{gname}.{pname}.{b}", hits
+            for cname, cdata in sorted(data.get("crosses", {}).items()):
+                for key, hits in sorted(cdata["hits"].items()):
+                    yield f"{gname}.{cname}.{key.replace('|', 'x')}", hits
+
     def _hit_goals(self, name: str) -> set:
         """Dotted names of every *hit* goal of one group (empty if absent)."""
-        data = self._groups.get(name)
-        if data is None:
+        if name not in self._groups:
             return set()
-        hit = set()
-        for pname, bins in data.get("points", {}).items():
-            hit.update(f"{name}.{pname}.{b}"
-                       for b, hits in bins.items() if hits)
-        for cname, cdata in data.get("crosses", {}).items():
-            hit.update(f"{name}.{cname}.{key.replace('|', 'x')}"
-                       for key, hits in cdata["hits"].items() if hits)
-        return hit
+        return {goal for goal, hits in self._goals(name) if hits}
 
     def open_goals(self, name: Optional[str] = None) -> List[str]:
         """Unhit goal names, optionally restricted to one group.
@@ -301,20 +308,9 @@ class CoverageDB:
         callers treating "never sampled" as "everything open" (the search
         driver does) must check :attr:`groups` membership themselves.
         """
-        if name is None:
-            return self.unhit()
-        data = self._groups.get(name)
-        if data is None:
+        if name is not None and name not in self._groups:
             return []
-        missing: List[str] = []
-        for pname, bins in sorted(data.get("points", {}).items()):
-            missing.extend(f"{name}.{pname}.{b}"
-                           for b, hits in sorted(bins.items()) if not hits)
-        for cname, cdata in sorted(data.get("crosses", {}).items()):
-            missing.extend(
-                f"{name}.{cname}.{key.replace('|', 'x')}"
-                for key, hits in sorted(cdata["hits"].items()) if not hits)
-        return missing
+        return [goal for goal, hits in self._goals(name) if not hits]
 
     def merge(self, other: "CoverageDB") -> None:
         for data in other._groups.values():
@@ -326,29 +322,11 @@ class CoverageDB:
 
     def percent(self, name: Optional[str] = None) -> float:
         """Hit percentage of one group, or of every goal in the database."""
-        items = ([self._groups[name]] if name is not None
-                 else list(self._groups.values()))
-        goals = hit = 0
-        for data in items:
-            for bins in data.get("points", {}).values():
-                goals += len(bins)
-                hit += sum(1 for hits in bins.values() if hits)
-            for cdata in data.get("crosses", {}).values():
-                goals += len(cdata.get("hits", {}))
-                hit += sum(1 for hits in cdata["hits"].values() if hits)
-        return 100.0 * hit / goals if goals else 100.0
+        hit = [bool(hits) for _, hits in self._goals(name)]
+        return 100.0 * sum(hit) / len(hit) if hit else 100.0
 
     def unhit(self) -> List[str]:
-        missing: List[str] = []
-        for gname, data in sorted(self._groups.items()):
-            for pname, bins in sorted(data.get("points", {}).items()):
-                missing.extend(f"{gname}.{pname}.{b}"
-                               for b, hits in sorted(bins.items()) if not hits)
-            for cname, cdata in sorted(data.get("crosses", {}).items()):
-                missing.extend(
-                    f"{gname}.{cname}.{key.replace('|', 'x')}"
-                    for key, hits in sorted(cdata["hits"].items()) if not hits)
-        return missing
+        return self.open_goals()
 
     # -- JSON --------------------------------------------------------------
 

@@ -46,7 +46,8 @@ class Violation:
 
 
 class VerificationError(Exception):
-    """Raised by strict sessions when a monitor flags a violation."""
+    """Raised for an unknown verification target and for a monitor
+    attached twice; violations themselves are collected, not raised."""
 
 
 class ProtocolMonitor:

@@ -598,7 +598,7 @@ def metagen_targets() -> List[str]:
 
 
 def _run_bench(bench: _Bench, target_name: str, seed: int, cycles: int,
-               strategy: str, strict: bool) -> VerifyResult:
+               strategy: str) -> VerifyResult:
     sim = Simulator(bench.top, strategy=strategy)
     for monitor in bench.monitors:
         monitor.attach(sim)
@@ -613,13 +613,6 @@ def _run_bench(bench: _Bench, target_name: str, seed: int, cycles: int,
                 monitor.pre_edge(sim.cycles)
             bench.group.sample(**bench.sampler())
             sim.step()
-            if strict:
-                for monitor in bench.monitors:
-                    if monitor.violations:
-                        raise VerificationError(
-                            f"{monitor.violations[0]}\nreproduce with: "
-                            f"{SEED_ENV}={seed} python -m repro.verify "
-                            f"'{target_name}'")
     finally:
         for monitor in bench.monitors:
             monitor.detach()
@@ -654,8 +647,8 @@ def _resolve_bench(target: Union[str, Component], pool: RngPool,
 
 
 def verify(target: Union[str, Component], seed: int = 0,
-           cycles: Optional[int] = None, strategy: str = COMPILED,
-           strict: bool = False) -> VerifyResult:
+           cycles: Optional[int] = None, strategy: str = COMPILED
+           ) -> VerifyResult:
     """Run one constrained-random verification session.
 
     Parameters
@@ -674,13 +667,10 @@ def verify(target: Union[str, Component], seed: int = 0,
     strategy:
         Settle strategy — sessions behave identically under ``compiled``
         (the default) and ``fixpoint``.
-    strict:
-        Raise :class:`VerificationError` on the first violation instead of
-        collecting all of them.
     """
     pool = RngPool(seed)
     bench, name, budget = _resolve_bench(target, pool, cycles)
-    return _run_bench(bench, name, pool.seed, budget, strategy, strict)
+    return _run_bench(bench, name, pool.seed, budget, strategy)
 
 
 def resolved_cycles(target: str, cycles: Optional[int]) -> int:
@@ -710,8 +700,7 @@ class SessionEvaluator:
     """
 
     def __init__(self, cycles: Optional[int] = None,
-                 strategy: str = COMPILED, store=None,
-                 strict: bool = False) -> None:
+                 strategy: str = COMPILED, store=None) -> None:
         self.cycles = cycles
         self.strategy = strategy
         if store is not None and not hasattr(store, "get"):
@@ -719,7 +708,6 @@ class SessionEvaluator:
 
             store = ResultStore(store)
         self.store = store
-        self.strict = strict
         self._memo: Dict[str, dict] = {}
         #: Sessions served from the in-process memo.
         self.memo_hits = 0
@@ -768,7 +756,7 @@ class SessionEvaluator:
             fresh.append(seed)
         if fresh:
             results = [verify(target, seed=seed, cycles=self.cycles,
-                              strategy=self.strategy, strict=self.strict)
+                              strategy=self.strategy)
                        for seed in fresh]
             self.simulated += len(fresh)
             _REGISTRY.inc("search_simulated", len(fresh))

@@ -8,14 +8,25 @@ same structural footprint, drive every binding, and only the container
 implementation differs.
 """
 
+import pytest
+
 from repro.core import (
+    SMOOTH_KERNEL,
+    Conv3x3Algorithm,
     CopyAlgorithm,
     TransformAlgorithm,
     invert,
     make_container,
     make_iterator,
 )
-from repro.designs import build_blur_pattern, build_saa2vga_pattern, run_stream_through
+from repro.designs import (
+    build_blur_pattern,
+    build_dual_path_saa2vga,
+    build_rgb_over_bus_pipeline,
+    build_saa2vga_pattern,
+    run_stream_through,
+)
+from repro.flow import StreamChannel
 from repro.rtl import Component, Simulator
 from repro.synth import estimate_design
 from repro.testing import stream_feed_and_drain
@@ -111,3 +122,54 @@ def test_end_to_end_results_are_binding_independent():
         design = build_saa2vga_pattern(binding, capacity=16)
         outputs[binding] = run_stream_through(design, frame)["pixels"]
     assert outputs["fifo"] == outputs["sram"] == flatten(frame)
+
+
+# -- repeated glue: one definition each ----------------------------------------
+
+
+def _stream_containers(*pairs):
+    return [make_container(kind, binding, "dut", width=8, capacity=4)
+            for kind, binding in pairs]
+
+
+def _window_algorithms():
+    """A blur and a convolution, each over its own window iterator."""
+    algorithms = [build_blur_pattern(line_width=8).algorithm]
+    top = Component("top")
+    rb = top.child(make_container("read_buffer", "linebuffer3", "rb", width=8,
+                                  line_width=8))
+    wb = top.child(make_container("write_buffer", "fifo", "wb", width=8,
+                                  capacity=8))
+    win_it = top.child(make_iterator(rb, "window", readable=True, name="win"))
+    out_it = top.child(make_iterator(wb, "forward", writable=True, name="out"))
+    algorithms.append(top.child(Conv3x3Algorithm(
+        "conv", win_it, out_it, line_width=8, kernel=SMOOTH_KERNEL)))
+    return algorithms
+
+
+#: glue -> the processes each user registers: one tuple per user, compared
+#: position by position.
+SHARED_GLUE = {
+    # Figure 4's wrapper over a FIFO or LIFO core.
+    "core wrapper": lambda: [tuple(c.comb_procs) for c in (
+        *_stream_containers(("read_buffer", "fifo"), ("write_buffer", "fifo"),
+                            ("queue", "fifo"), ("stack", "lifo")),
+        StreamChannel("ch", width=8, depth=4))],
+    "sram forward": lambda: [tuple(c.comb_procs) for c in _stream_containers(
+        ("read_buffer", "sram"), ("write_buffer", "sram"), ("queue", "sram"))],
+    # Every hop of two pipelines: graph input, channels, width converters,
+    # nodes and graph output.
+    "pipeline hop": lambda: [(proc,) for pipeline in (
+        build_dual_path_saa2vga(), build_rgb_over_bus_pipeline())
+        for proc in pipeline.comb_procs],
+    "window datapath": lambda: [(*a.comb_procs, *a.seq_procs)
+                                for a in _window_algorithms()],
+}
+
+
+@pytest.mark.parametrize("glue", sorted(SHARED_GLUE))
+def test_repeated_glue_registers_one_code_object(glue):
+    users = SHARED_GLUE[glue]()
+    assert len(users) >= 2 and users[0]
+    codes = [tuple(proc.__code__ for proc in procs) for procs in users]
+    assert codes == [codes[0]] * len(codes)

@@ -14,6 +14,7 @@ import weakref
 import pytest
 
 import repro.rtl.compile as rtl_compile
+from repro.core import make_container
 from repro.designs import (
     BlurCustomDesign,
     Saa2VgaCustomFIFO,
@@ -38,6 +39,7 @@ from repro.rtl import (
 )
 from repro.rtl.compile import analyze
 from repro.rtl.compile import emit as rtl_emit
+from repro.testing import random_stream_schedule
 from repro.verify import mutate
 from repro.verify.session import TARGETS, verify
 from repro.video import flatten, random_frame
@@ -147,6 +149,50 @@ def test_second_session_of_each_verify_target_hits(name):
             result.violations, result.ok) == \
         (oracle.cycles, oracle.transactions, oracle.coverage_percent,
          oracle.violations, oracle.ok)
+
+
+def _random_session(kind, binding, strategy=COMPILED):
+    """Build a width-8, capacity-4 ``kind``/``binding`` container and run
+    it under blind random push/pop strobes.  Returns the (hits, misses)
+    the construction added to the recipe cache counters, and every signal
+    and memory word cycle by cycle."""
+    container = make_container(kind, binding, "dut", width=8, capacity=4)
+    fill = getattr(container, "fill", None) or container.sink
+    drain = getattr(container, "drain", None) or container.source
+    counters = [REGISTRY.value(name) for name in (
+        "compile_recipe_hits", "compile_recipe_misses")]
+    sim = Simulator(container, strategy=strategy)
+    added = (REGISTRY.value("compile_recipe_hits") - counters[0],
+             REGISTRY.value("compile_recipe_misses") - counters[1])
+    recorder = Recorder(sim, container.all_signals())
+    for push, data, pop in random_stream_schedule(
+            seed=2026, cycles=300, name=f"recipe.{kind}"):
+        fill.data.force(data)
+        fill.push.force(push)
+        drain.pop.force(pop)
+        sim.step()
+    return added, (recorder.rows, [m.dump() for m in container.all_memories()])
+
+
+@pytest.mark.parametrize("binding", ["fifo", "sram"])
+def test_stream_kinds_over_one_binding_share_one_recipe(binding):
+    """The three queue-ordered kinds wrap their storage with one shared
+    process, so equal width and capacity compile once and hit twice."""
+    added = []
+    for kind in ("read_buffer", "write_buffer", "queue"):
+        counts, trace = _random_session(kind, binding)
+        added.append(counts)
+        assert trace == _random_session(kind, binding, FIXPOINT)[1], kind
+    assert added == [(0, 1), (1, 0), (1, 0)]
+
+
+def test_ready_when_full_mutant_keeps_its_own_recipe():
+    assert _random_session("read_buffer", "fifo")[0] == (0, 1)
+    with mutate.inject("queue.ready_when_full"):
+        counts, trace = _random_session("queue", "fifo")
+        assert trace == _random_session("queue", "fifo", FIXPOINT)[1]
+    assert counts == (0, 1)
+    assert _random_session("queue", "fifo")[0] == (1, 0)
 
 
 def test_video_systems_differing_only_in_frames_hit():
