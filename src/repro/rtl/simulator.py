@@ -25,7 +25,9 @@ Two settle strategies implement that contract:
     bodies specialised onto the same slots, with ``FSM.goto``/``stay``
     and memory stores inlined, and the clock edge commits their writes
     with emitted lines rather than through ``Signal.next``.
-    :meth:`Simulator.run_until` calls the generated ``cycle()`` directly.
+    :meth:`Simulator.run_until` calls the generated ``cycle()`` directly,
+    and :meth:`Simulator.settle` on a network nothing has touched since
+    its last settle returns at once.
     True combinational feedback iterates in small local groups; processes
     the analyser cannot fully resolve demote the settle to a guarded
     convergence loop, so the strategy is never wrong, merely slower on
@@ -156,7 +158,7 @@ class Simulator:
         #: return stale values, so stale use raises instead.
         self._attached = True
         # Initial settle so combinational outputs are valid before cycle 0.
-        self._settle()
+        self.settle()
 
     def _invalidate_previous(self) -> None:
         """Mark any simulator currently hooked to these signals as stale.
@@ -306,15 +308,6 @@ class Simulator:
                 return iteration
         self._raise_comb_loop()
 
-    def _settle(self) -> int:
-        """Run combinational processes to a fixed point.
-
-        Returns the number of delta iterations used.
-        """
-        if self._strategy == COMPILED:
-            return self._program.settle(self)
-        return self._settle_fixpoint()
-
     def step(self, cycles: int = 1) -> None:
         """Advance the design by ``cycles`` clock cycles.
 
@@ -415,12 +408,19 @@ class Simulator:
         return self._cycles - start
 
     def settle(self) -> int:
-        """Expose a settle-only evaluation (useful after forcing signals)."""
-        if _obs_tracing._STATE.active:
-            with _obs_tracing.span("settle", strategy=self._strategy,
-                                   kind="settle"):
-                return self._settle()
-        return self._settle()
+        """Expose a settle-only evaluation (useful after forcing signals).
+
+        Returns the delta iterations used.  Under ``compiled``, a network
+        nothing has touched since the last settle (no ``force``,
+        ``reset``, memory store or ``.next`` write) is still at that
+        settle's fixed point, so the call returns 0 rounds at once, as
+        ``cycle()`` skips its leading settle; ``fixpoint`` always settles.
+        """
+        if self._strategy == COMPILED:
+            if self._attached and not self._dirty and not self._written:
+                return 0
+            return self._program.settle(self)
+        return self._settle_fixpoint()
 
     def reset(self) -> None:
         """Reset all state, the cycle counter and watcher state, then re-settle.
@@ -441,7 +441,7 @@ class Simulator:
         for hook in self._watcher_resets:
             if hook is not None:
                 hook()
-        self._settle()
+        self.settle()
 
 
 def pulse(sim: Simulator, sig: Signal, cycles: int = 1, value: int = 1) -> None:

@@ -22,12 +22,20 @@ container binding.
 from __future__ import annotations
 
 import json
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from operator import attrgetter
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
 #: What a bin can be declared as: an exact value, an inclusive (lo, hi)
 #: range, or a predicate.
 BinSpec = Union[int, str, Tuple[int, int], Callable[[object], bool]]
+
+#: Distinct values one coverpoint remembers the first-matching bin of;
+#: once that many are remembered, a new value is matched by scanning.
+MEMO_LIMIT = 1024
+
+_ABSENT = object()
+_LAST_BIN = attrgetter("last_bin")
 
 
 class CoverageError(Exception):
@@ -68,16 +76,40 @@ class CoverPoint:
             bname: CoverBin(bname, spec) for bname, spec in bins.items()}
         #: Bin name matched by the most recent sample (None if no bin hit).
         self.last_bin: Optional[str] = None
+        # First-matching bin (or None) per ``(type(value), value)``: the
+        # type is part of the key because ``1``, ``True`` and ``1.0`` are
+        # equal keys but a range bin rejects ``1.0``.  A predicate may be
+        # impure, so a point with one asks its bins on every sample.
+        self._memo: Optional[Dict[tuple, Optional[CoverBin]]] = (
+            None if any(callable(spec) for spec in bins.values()) else {})
+
+    def _first_match(self, value: object) -> Optional[CoverBin]:
+        for cbin in self.bins.values():
+            if cbin.matches(value):
+                return cbin
+        return None
 
     def sample(self, value: object) -> Optional[str]:
         """Record ``value``; returns the first matching bin's name."""
-        self.last_bin = None
-        for cbin in self.bins.values():
-            if cbin.matches(value):
-                cbin.hits += 1
-                self.last_bin = cbin.name
-                return cbin.name
-        return None
+        memo = self._memo
+        if memo is None:
+            cbin = self._first_match(value)
+        else:
+            key = (type(value), value)
+            try:
+                cbin = memo[key]
+            except KeyError:
+                cbin = self._first_match(value)
+                if len(memo) < MEMO_LIMIT:
+                    memo[key] = cbin
+            except TypeError:  # unhashable value
+                cbin = self._first_match(value)
+        if cbin is None:
+            self.last_bin = None
+            return None
+        cbin.hits += 1
+        self.last_bin = name = cbin.name
+        return name
 
     @property
     def hit_count(self) -> int:
@@ -127,6 +159,8 @@ class CoverGroup:
         self.name = name
         self.points: Dict[str, CoverPoint] = {}
         self.crosses: Dict[str, CoverCross] = {}
+        # Each cross with its point objects, fixed when it is declared.
+        self._cross_sources: List[Tuple[CoverCross, Tuple[CoverPoint, ...]]] = []
         self.samples = 0
 
     # -- declaration -------------------------------------------------------
@@ -150,24 +184,32 @@ class CoverGroup:
             raise CoverageError(f"cross {name!r} already declared")
         cc = CoverCross(name, points, combos)
         self.crosses[name] = cc
+        self._cross_sources.append(
+            (cc, tuple(self.points[p] for p in points)))
         return cc
 
     # -- sampling ----------------------------------------------------------
 
     def sample(self, **values: object) -> None:
-        """Sample named coverpoints; crosses fire when all their points did.
+        """Sample named coverpoints (see :meth:`sample_values`)."""
+        self.sample_values(values)
+
+    def sample_values(self, values: Mapping[str, object]) -> None:
+        """Sample the coverpoints ``values`` names; crosses fire when all
+        their points did.
 
         Points not named in ``values`` are skipped this cycle (their
         ``last_bin`` is cleared so stale bins never feed a cross).
         """
         self.samples += 1
         for pname, cp in self.points.items():
-            if pname in values:
-                cp.sample(values[pname])
-            else:
+            value = values.get(pname, _ABSENT)
+            if value is _ABSENT:
                 cp.last_bin = None
-        for cc in self.crosses.values():
-            cc.sample(tuple(self.points[p].last_bin for p in cc.points))
+            else:
+                cp.sample(value)
+        for cc, sources in self._cross_sources:
+            cc.sample(tuple(map(_LAST_BIN, sources)))
 
     # -- results -----------------------------------------------------------
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..obs import tracing as _obs_tracing
 from ..obs.metrics import REGISTRY as _REGISTRY
 from ..rtl import COMPILED, Component, Simulator
 from .coverage import CoverageDB, CoverGroup
@@ -602,17 +603,24 @@ def _run_bench(bench: _Bench, target_name: str, seed: int, cycles: int,
     sim = Simulator(bench.top, strategy=strategy)
     for monitor in bench.monitors:
         monitor.attach(sim)
+    # Every per-cycle callable is bound once; the simulator is fresh, so
+    # the loop's own counter is ``sim.cycles``.
+    drives = [driver.drive for driver in bench.drivers]
+    observes = [driver.observe for driver in bench.drivers]
+    pre_edges = [monitor.pre_edge for monitor in bench.monitors]
+    sampler, sample = bench.sampler, bench.group.sample_values
+    settle, step = sim.settle, sim.step
     try:
-        for _ in range(cycles):
-            for driver in bench.drivers:
-                driver.drive(sim.cycles)
-            sim.settle()
-            for driver in bench.drivers:
-                driver.observe(sim.cycles)
-            for monitor in bench.monitors:
-                monitor.pre_edge(sim.cycles)
-            bench.group.sample(**bench.sampler())
-            sim.step()
+        for cycle in range(cycles):
+            for drive in drives:
+                drive(cycle)
+            settle()
+            for observe in observes:
+                observe(cycle)
+            for pre_edge in pre_edges:
+                pre_edge(cycle)
+            sample(sampler())
+            step()
     finally:
         for monitor in bench.monitors:
             monitor.detach()
@@ -667,10 +675,18 @@ def verify(target: Union[str, Component], seed: int = 0,
     strategy:
         Settle strategy — sessions behave identically under ``compiled``
         (the default) and ``fixpoint``.
+
+    While tracing is on, the session (bench build and loop) is one
+    ``verify.session`` span carrying ``target``, ``seed``, ``cycles``
+    and ``transactions``.
     """
     pool = RngPool(seed)
-    bench, name, budget = _resolve_bench(target, pool, cycles)
-    return _run_bench(bench, name, pool.seed, budget, strategy)
+    with _obs_tracing.span("verify.session") as span:
+        bench, name, budget = _resolve_bench(target, pool, cycles)
+        result = _run_bench(bench, name, pool.seed, budget, strategy)
+        span.args.update(target=name, seed=pool.seed, cycles=budget,
+                         transactions=result.transactions)
+    return result
 
 
 def resolved_cycles(target: str, cycles: Optional[int]) -> int:

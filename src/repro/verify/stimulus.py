@@ -228,6 +228,9 @@ class IteratorOpDriver:
         self.constraints = constraints or IteratorConstraints()
         self.seek_overshoot = seek_overshoot
         self._op: Optional[str] = None
+        #: Strobes may still be asserted: set when an operation completes
+        #: (and before the first drive), cleared by the one release.
+        self._held = True
         self._cooldown = 0
         self.completed: List[str] = []
 
@@ -238,6 +241,7 @@ class IteratorOpDriver:
         iface.inc.force(0)
         iface.dec.force(0)
         iface.index.force(0)
+        self._held = False
 
     def _choose_op(self) -> Optional[str]:
         ops, weights = zip(*self.constraints.weights.items())
@@ -251,7 +255,8 @@ class IteratorOpDriver:
     def drive(self, cycle: int) -> None:
         if self._op is not None:
             return  # strobes held, waiting for done
-        self._release()
+        if self._held:
+            self._release()
         if self._cooldown > 0:
             self._cooldown -= 1
             return
@@ -286,6 +291,7 @@ class IteratorOpDriver:
         if self._op is not None and self.iface.done.value:
             self.completed.append(self._op)
             self._op = None
+            self._held = True
             self._cooldown = 1 + self.rng.randint(*self.constraints.gap)
 
 
@@ -305,6 +311,8 @@ class AssocOpDriver:
         self.value_max = value_max
         self.key_space = max(2, 2 * capacity)
         self._op: Optional[str] = None
+        #: As :class:`IteratorOpDriver`: strobes wait for one release.
+        self._held = True
         self._cooldown = 0
         self.completed: List[str] = []
 
@@ -313,11 +321,13 @@ class AssocOpDriver:
         iface.lookup.force(0)
         iface.insert.force(0)
         iface.remove.force(0)
+        self._held = False
 
     def drive(self, cycle: int) -> None:
         if self._op is not None:
             return
-        self._release()
+        if self._held:
+            self._release()
         if self._cooldown > 0:
             self._cooldown -= 1
             return
@@ -346,4 +356,5 @@ class AssocOpDriver:
         if self._op is not None and self.iface.done.value:
             self.completed.append(self._op)
             self._op = None
+            self._held = True
             self._cooldown = 1
