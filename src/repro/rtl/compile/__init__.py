@@ -14,17 +14,22 @@ their writes with emitted lines.  It is the software analogue of
 the paper's wrapper dissolution — the generic scheduler disappears into
 design-specific straight-line code.
 
-Compilation is paid once per design *structure* per process.  Every read
-the analyser makes of instance state goes through a
-:class:`~repro.rtl.compile.guard.Recorder`, whose log becomes the
+Compilation is paid once per design *structure* per process, whatever
+its sizes.  Every read the analyser makes of instance state goes through
+a :class:`~repro.rtl.compile.guard.Recorder`, whose log becomes the
 design's :class:`~repro.rtl.compile.guard.Guard`; the emitter records its
-slot tables as handles into that log.  The compiled blocks, source, report,
-guard and tables form a *recipe*, kept in a bounded in-process LRU keyed by
-the processes' code objects and ``max_settle``.  A later design with the
-same key replays the guard on its own objects; when every fact matches, the
-recipe's blocks are executed against slot tables of that design's signals,
-memories and processes, and analysis, scheduling, emission and
-``compile()`` are skipped.
+slot tables as handles into that log.  The guard's *decision* facts shape
+the emitted code; its *value* facts — masks, memory depths, instance ints
+such as ``self.depth`` — only become integer literals, which the emitter
+compiles as placeholders (a :class:`~repro.rtl.compile.emit.Template`).
+The template, report, guard, tables and the recording design's values and
+source form a *recipe*, kept in a bounded in-process LRU keyed by the
+processes' code objects and ``max_settle``.  A later design with the same
+key replays the guard's decisions on its own objects; when they all
+match, the template is loaded with that design's values written into its
+constants, against slot tables of its signals, memories and processes,
+and analysis, scheduling, emission and ``compile()`` are skipped.  A cold
+compile loads through the same substitution.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ...obs import tracing as _obs_tracing
 from ...obs.metrics import REGISTRY
 from .analyze import ProcAnalysis, analyze_proc
-from .emit import CompiledProgram, CompileReport, EmittedModule, Emitter, load
+from .emit import (CompiledProgram, CompileReport, EmittedModule, Emitter,
+                   Template)
 from .guard import Guard, Recorder, Replay
 from .schedule import Schedule, build_schedule
 
@@ -49,23 +55,24 @@ RECIPE_CACHE_SIZE = 32
 @dataclass(frozen=True, eq=False)
 class _Recipe:
     """One compiled design structure, loadable against any design whose
-    guard replays."""
+    guard replays, with that design's values written in."""
 
     guard: Guard
     #: Slot table name -> handles (into the guard's objects) it binds.
     tables: Dict[str, Tuple[int, ...]]
-    codes: Tuple[types.CodeType, ...]
-    source: str
+    template: Template
     report: CompileReport
 
     def bind(self, replay: Replay) -> Optional[CompiledProgram]:
-        objects = replay.match(self.guard)
-        if objects is None:
+        matched = replay.match(self.guard)
+        if matched is None:
             return None
-        settle, cycle = load(self.codes, {
+        objects, values = matched
+        settle, cycle = self.template.load(values, {
             name: [objects[handle] for handle in handles]
             for name, handles in self.tables.items()})
-        return CompiledProgram(settle=settle, cycle=cycle, source=self.source,
+        return CompiledProgram(settle=settle, cycle=cycle,
+                               source=self.template.source(values),
                                report=self.report.copy(), cached=True)
 
 
@@ -103,8 +110,8 @@ def _store(key: tuple, recorder: Recorder, module: EmittedModule) -> None:
         if None in handles:
             return
         tables[name] = handles
-    recipe = _Recipe(guard=recorder.guard(), tables=tables,
-                     codes=module.codes, source=module.source,
+    recipe = _Recipe(guard=recorder.guard(module.refs, module.pinned),
+                     tables=tables, template=module.template,
                      report=module.report.copy())
     with _RECIPES_LOCK:
         _RECIPES.setdefault(key, []).insert(0, recipe)
@@ -153,16 +160,17 @@ def compile_design(comb_procs: Sequence[Callable],
                         for proc in seq_procs]
     with _obs_tracing.span("schedule"):
         emitter = Emitter(build_schedule(analyses), comb_procs, seq_analyses,
-                          max_settle)
+                          max_settle, recorder)
     # The emitter holds the only references now, so it can free the
     # analyses before compiling.
     del analyses, seq_analyses
     with _obs_tracing.span("emit"):
         module = emitter.build()
-        settle, cycle = load(module.codes, module.tables)
+        template = module.template
+        settle, cycle = template.load(template.values, module.tables)
     if key is not None:
         _store(key, recorder, module)
-    return CompiledProgram(settle=settle, cycle=cycle, source=module.source,
+    return CompiledProgram(settle=settle, cycle=cycle, source=template.text,
                            report=module.report)
 
 

@@ -34,7 +34,11 @@ functions a call enters — goes through one
 and logs it as a fact.  The log is the design's
 :class:`~repro.rtl.compile.guard.Guard`: replayed on another design built
 from the same process code, it says whether that design would analyse
-identically.  A dynamic
+identically up to its values.  An int read from instance state that the
+walk notes as a literal outside a truth test is reported to the recorder
+(:meth:`~repro.rtl.compile.guard.Recorder.literal`); an int every read of
+which was such a note is a value, any other use makes it a decision.  A
+dynamic
 index into a container of plain scalars (a stimulus queue, a lookup table)
 is a runtime value, like a ``Memory`` word, so such data never enters a
 guard and its length never slows the analysis.
@@ -52,7 +56,9 @@ from __future__ import annotations
 
 import ast
 import inspect
+import linecache
 import textwrap
+import types
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set
 
@@ -134,6 +140,9 @@ class ProcAnalysis:
     units: Optional[List[StatementUnit]] = None
     #: AST-node resolution notes consumed by the emitter's transpiler.
     notes: Dict[int, Any] = field(default_factory=dict)
+    #: ``id(node)`` -> the recorder's fact index, for each literal note
+    #: outside a truth test that an ``attr`` read of an int supplied.
+    literals: Dict[int, int] = field(default_factory=dict)
     #: Names of process-local temporaries (for collision-free mangling).
     local_names: Set[str] = field(default_factory=set)
     #: The parsed body the notes refer to (None without readable source).
@@ -146,22 +155,53 @@ class ProcAnalysis:
 
 #: Source text cache keyed by code object: every instance of a design class
 #: shares the same process code objects, so compiling the second (and every
-#: later) instance skips the expensive ``inspect.getsource`` walk.
+#: later) instance reads no source at all.
 _SOURCE_CACHE: Dict[Any, Optional[str]] = {}
 
 
+def _last_line(code: types.CodeType) -> int:
+    """The last source line of any instruction of ``code`` or of the code
+    nested in it."""
+    last = max((line for _, _, line in code.co_lines() if line), default=0)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            last = max(last, _last_line(const))
+    return last
+
+
+def _indent(line: str) -> int:
+    return len(line) - len(line.lstrip())
+
+
 def _proc_source(func: Callable) -> Optional[str]:
+    """The dedented source of ``func``'s definition, decorators included,
+    or None when its file has no lines for it.
+
+    The cached lines of the file are sliced from ``co_firstlineno`` to the
+    end of the definition's indented block, and at least to the last line
+    of an instruction (a continuation line may sit left of the block).
+    Unlike ``inspect.getsource`` this runs no tokenizer and does not
+    follow ``__wrapped__``: the source is that of the code that runs.
+    """
     code = getattr(func, "__code__", None)
-    if code is None:
+    if not isinstance(code, types.CodeType):
         return None
     try:
         return _SOURCE_CACHE[code]
     except KeyError:
         pass
-    try:
-        source = textwrap.dedent(inspect.getsource(func))
-    except (OSError, TypeError, SyntaxError, IndentationError):
-        source = None
+    linecache.checkcache(code.co_filename)
+    lines = linecache.getlines(code.co_filename,
+                               getattr(func, "__globals__", None))
+    first = code.co_firstlineno - 1
+    source = None
+    if 0 <= first < len(lines):
+        indent = _indent(lines[first])
+        end = max(first + 1, _last_line(code))
+        while end < len(lines) and (not lines[end].strip()
+                                    or _indent(lines[end]) > indent):
+            end += 1
+        source = textwrap.dedent("".join(lines[first:end]))
     _SOURCE_CACHE[code] = source
     return source
 
@@ -169,8 +209,8 @@ def _proc_source(func: Callable) -> Optional[str]:
 def _parse_proc(func: Callable) -> Optional[ast.FunctionDef]:
     """Parse ``func`` down to its ``FunctionDef`` node (None on failure).
 
-    The definition must carry the function's own name: ``getsource`` of a
-    lambda returns its whole line, and of a wrapper the wrapped function.
+    The definition must carry the function's own name: the source of a
+    lambda is its whole line.
     """
     source = _proc_source(func)
     if source is None:
@@ -403,10 +443,11 @@ class _Analyzer:
 
     def forget_notes(self, nodes) -> None:
         """Drop the notes under ``nodes`` before a loop's second pass."""
-        notes = self.analysis.notes
+        notes, literals = self.analysis.notes, self.analysis.literals
         for root in nodes:
             for node in ast.walk(root):
                 notes.pop(id(node), None)
+                literals.pop(id(node), None)
 
     def visit_loop(self, stmt) -> None:
         # Two passes: the second sees every alias the body assigns, so only
@@ -711,6 +752,10 @@ class _Analyzer:
             return
         if _is_literal(resolved):
             self.note(node, resolved)
+            if not truth:
+                fact = self.recorder.literal(resolved)
+                if fact is not None:
+                    self.analysis.literals[id(node)] = fact
             return
         self.not_transpilable()
 

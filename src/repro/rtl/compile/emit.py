@@ -36,26 +36,38 @@ it can be inspected, diffed and unit-tested like any other artefact.
 
 The module names no design object: it reads its signals, memories, FSMs
 and processes from the slot tables ``_SIGS``/``_MEMS``/``_FSMS``/
-``_PROCS``/``_SEQS`` (:func:`load` binds them), and everything it bakes —
-masks, memory depths and types, FSM codes and methods, literal notes — is
-a value the analyser's :class:`~repro.rtl.compile.guard.Recorder` logged
-as a fact.  So one compiled module serves every design whose guard
-replays (see :mod:`repro.rtl.compile`); the ``_uid`` order of call-unit
-commits only orders independent assignments and needs no guard.
+``_PROCS``/``_SEQS`` (:meth:`Template.load` binds them), and everything
+it bakes — masks, memory depths and types, FSM codes and methods, literal
+notes — is something the analyser's
+:class:`~repro.rtl.compile.guard.Recorder` logged.  A *value* (a mask, a
+memory depth, a literal note of an instance int that is a value fact) is
+compiled as a placeholder int above every other constant of the module,
+and :meth:`Template.load` writes each design's own values into the code
+objects' constants; a value the emitter folds into another constant is
+*pinned* instead (written in, and compared by the guard).  After
+``compile()`` every placeholder left in the text must still be a
+constant of some code object, or the compile raises: CPython folded it
+where the emitter should have pinned it.  So one compiled module serves
+every design whose guard's decisions replay (see :mod:`repro.rtl.compile`);
+the ``_uid`` order of call-unit commits only orders independent
+assignments and needs no guard.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import re
 import types
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from ..component import Memory
-from ..errors import CombinationalLoopError
+from ..errors import CombinationalLoopError, RTLError
 from ..signal import Signal
 from .analyze import FsmStep, ProcAnalysis
+from .guard import Recorder
 from .schedule import Schedule, Unit
 
 
@@ -108,13 +120,102 @@ class CompiledProgram:
     cached: bool = False
 
 
-@dataclass
-class EmittedModule:
-    """One compile's output before it is loaded: the compiled top-level
-    blocks, their source, the report and the slot tables they bind."""
+class _Fill:
+    """Where placeholders sit in one code object's constants: each slot is
+    ``(position, value index)`` or ``(position, fill of a nested code
+    object)``."""
+
+    __slots__ = ("code", "slots")
+
+    def __init__(self, code: types.CodeType, slots: Sequence[tuple]) -> None:
+        self.code = code
+        self.slots = tuple(slots)
+
+    def apply(self, values: Sequence[int]) -> types.CodeType:
+        consts = list(self.code.co_consts)
+        for position, hole in self.slots:
+            consts[position] = values[hole] if type(hole) is int \
+                else hole.apply(values)
+        return self.code.replace(co_consts=tuple(consts))
+
+
+def _fill(code: types.CodeType, base: int, index: Dict[int, int],
+          met: Set[int]) -> Optional[_Fill]:
+    """The fill of ``code`` for the placeholders ``index`` maps (placeholder
+    -> value index), or None when none of them occurs in it.  Every int at
+    or above ``base`` it meets goes to ``met``."""
+    slots: List[tuple] = []
+    for position, const in enumerate(code.co_consts):
+        if isinstance(const, types.CodeType):
+            nested = _fill(const, base, index, met)
+            if nested is not None:
+                slots.append((position, nested))
+        elif isinstance(const, int) and abs(const) >= base:
+            met.add(const)
+            if const in index:
+                slots.append((position, index[const]))
+    return _Fill(code, slots) if slots else None
+
+
+@dataclass(frozen=True, eq=False)
+class Template:
+    """A compiled module whose value facts are placeholders.
+
+    ``codes`` are its top-level blocks; ``fills`` says where the
+    placeholders sit in each (None: nowhere).  ``text`` is its source with
+    the recording design's ``values`` written in, and ``spans`` says where
+    each value sits in it: ``(start, end, value index)``.  :meth:`load`
+    writes one design's values into the code objects' constants, so the
+    kernel runs the bytecode a compile of that design's own literals
+    would, and :meth:`source` writes them into the text.
+    """
 
     codes: Tuple[types.CodeType, ...]
-    source: str
+    fills: Tuple[Optional[_Fill], ...]
+    text: str
+    values: Tuple[int, ...]
+    spans: Tuple[Tuple[int, int, int], ...]
+
+    def source(self, values: Tuple[int, ...]) -> str:
+        """The source with ``values`` written in (``text`` itself for the
+        recording design's values)."""
+        if values == self.values:
+            return self.text
+        pieces, at = [], 0
+        for start, end, index in self.spans:
+            pieces += (self.text[at:start], str(values[index]))
+            at = end
+        pieces.append(self.text[at:])
+        return "".join(pieces)
+
+    def load(self, values: Sequence[int],
+             tables: Dict[str, List[object]]) -> Tuple[Callable, Callable]:
+        """Exec the blocks, with ``values`` written in, against one
+        design's slot tables; returns its ``(settle, cycle)``.  The blocks
+        hold no design object, so a recipe's blocks load against every
+        design its guard accepts.  They rebind the ``_PROCS``/``_SEQS``
+        entries they specialise, so each load gets copies of the
+        tables."""
+        namespace: Dict[str, object] = {name: list(objects)
+                                        for name, objects in tables.items()}
+        namespace.update(_bind=_bind,
+                         CombinationalLoopError=CombinationalLoopError)
+        for code, fill in zip(self.codes, self.fills):
+            exec(code if fill is None else fill.apply(values), namespace)
+        return namespace["settle"], namespace["cycle"]
+
+
+@dataclass
+class EmittedModule:
+    """One compile's output before it is loaded: the template, what its
+    values stand for, the report and the slot tables they bind."""
+
+    template: Template
+    #: What each value of the template stands for (see
+    #: :class:`~repro.rtl.compile.guard.Guard`).
+    refs: Tuple[Tuple[str, int], ...]
+    #: The value refs folded into other constants.
+    pinned: Set[Tuple[str, int]]
     report: CompileReport
     #: ``_SIGS``/``_MEMS``/``_FSMS``/``_PROCS``/``_SEQS`` -> the objects
     #: bound.
@@ -168,6 +269,97 @@ class _Slots:
         return name
 
 
+def _bits(value: Any) -> int:
+    """The bit length of the largest int in ``value``, searching lists,
+    tuples and code objects' constants."""
+    if isinstance(value, int):
+        return abs(value).bit_length()
+    if isinstance(value, types.CodeType):
+        value = value.co_consts
+    if isinstance(value, (tuple, list)):
+        return max(map(_bits, value), default=0)
+    return 0
+
+
+class _Holes:
+    """The values a module bakes in as literals, as placeholders.
+
+    ``("_mask", handle)`` and ``("depth", handle)`` name a signal's or
+    memory's attribute, ``("fact", index)`` an ``attr`` value fact.  Each
+    value becomes a placeholder int ``base + n``, above every other int the
+    module can hold: ``base`` clears, by 64 bits, every constant of the
+    process code, every value the recorder read, every memory depth, and
+    the 128-bit results CPython's constant folding stops at.  :meth:`pin`
+    writes a value back where the emitter folds it into another constant;
+    the guard then compares it.
+    """
+
+    def __init__(self, recorder: Recorder, codes: Iterable[types.CodeType],
+                 max_settle: int) -> None:
+        self.recorder = recorder
+        self.value_facts = recorder.value_facts()
+        # A recorded int can become a literal, and so can the element of
+        # a one-element scan; a container's other elements cannot (and a
+        # stimulus queue may be long).
+        bits = max(128, _bits(max_settle), _bits(tuple(codes)),
+                   _bits([value for value in recorder.memo.values()
+                          if isinstance(value, int)
+                          or (type(value) is list and len(value) == 1)]),
+                   _bits([obj.depth for obj in recorder.objects
+                          if isinstance(obj, Memory)]))
+        self.base = 1 << (bits + 64)
+        self.refs: List[Tuple[str, int]] = []
+        self.values: List[int] = []
+        self.index: Dict[Tuple[str, int], int] = {}
+        self.pinned: Set[Tuple[str, int]] = set()
+
+    def of(self, obj: Any, attr: str) -> ast.Constant:
+        """``obj``'s ``_mask`` or ``depth``; pinned unless a plain int."""
+        value = getattr(obj, attr)
+        handle = self.recorder.handle(obj)
+        if handle is None:
+            return ast.Constant(value=value)
+        if type(value) is not int:
+            self.pinned.add((attr, handle))
+            return ast.Constant(value=value)
+        return self._placeholder((attr, handle), value)
+
+    def fact(self, index: Optional[int], value: Any) -> ast.Constant:
+        """A literal note: a placeholder when the recorder's fact ``index``
+        is a value fact (whose value is a plain int)."""
+        if index not in self.value_facts:
+            return ast.Constant(value=value)
+        return self._placeholder(("fact", index), value)
+
+    def _placeholder(self, ref: Tuple[str, int], value: int) -> ast.Constant:
+        number = self.index.get(ref)
+        if number is None:
+            number = self.index[ref] = len(self.refs)
+            self.refs.append(ref)
+            self.values.append(value)
+        return ast.Constant(value=self.base + number)
+
+    def pin(self, node: ast.expr) -> ast.expr:
+        """``node``, with its value written in when it is a placeholder."""
+        if isinstance(node, ast.Constant) and type(node.value) is int \
+                and node.value >= self.base:
+            number = node.value - self.base
+            self.pinned.add(self.refs[number])
+            return ast.Constant(value=self.values[number])
+        return node
+
+
+def _folds(node: ast.expr) -> bool:
+    """True when CPython folds ``node`` into one constant."""
+    if isinstance(node, ast.Constant):
+        return True
+    if isinstance(node, ast.UnaryOp):
+        return _folds(node.operand)
+    if isinstance(node, ast.BinOp):
+        return _folds(node.left) and _folds(node.right)
+    return False
+
+
 class _Transpiler(ast.NodeTransformer):
     """Rewrite analysed code onto slot-indexed signal access.
 
@@ -184,11 +376,12 @@ class _Transpiler(ast.NodeTransformer):
       bare signal objects and local names stay the body's own Python.
     """
 
-    def __init__(self, analysis: ProcAnalysis, slots: _Slots,
+    def __init__(self, analysis: ProcAnalysis, slots: _Slots, holes: _Holes,
                  proc_tag: str, write: str) -> None:
         self.analysis = analysis
         self.notes = analysis.notes
         self.slots = slots
+        self.holes = holes
         self.proc_tag = proc_tag
         self.write = write
         self.specialise = write == "next"
@@ -217,6 +410,28 @@ class _Transpiler(ast.NodeTransformer):
     def _mangle(self, name: str) -> str:
         return f"_L{self.proc_tag}_{name}"
 
+    def _binop(self, left: ast.expr, op: ast.operator,
+               right: ast.expr) -> ast.BinOp:
+        """``left op right``, with the values written in that CPython would
+        fold away."""
+        if _folds(left) and _folds(right):
+            left, right = self.holes.pin(left), self.holes.pin(right)
+        return ast.BinOp(left=left, op=op, right=right)
+
+    def _mask(self, value: ast.expr, obj) -> ast.expr:
+        """``value & MASK`` with ``obj``'s mask.  A constant folds here
+        (zero whatever the mask); any other value CPython folds gets the
+        mask written in, so it folds against the design's own mask."""
+        mask = self.holes.of(obj, "_mask")
+        if isinstance(value, ast.Constant) and isinstance(value.value, int):
+            constant = int(self.holes.pin(value).value)
+            if constant:
+                constant &= self.holes.pin(mask).value
+            return ast.Constant(value=constant)
+        if _folds(value):
+            value, mask = self.holes.pin(value), self.holes.pin(mask)
+        return ast.BinOp(left=value, op=ast.BitAnd(), right=mask)
+
     # -- expressions -----------------------------------------------------------
 
     def visit_Name(self, node: ast.Name):
@@ -242,8 +457,18 @@ class _Transpiler(ast.NodeTransformer):
             return self._slot_attr(noted,
                                    "_next" if node.attr == "next" else "_value")
         if not self.specialise and noted is not _MISSING and _is_const(noted):
-            return ast.Constant(value=noted)
+            return self.holes.fact(self.analysis.literals.get(id(node)), noted)
         return self.generic_visit(node)
+
+    def visit_BinOp(self, node: ast.BinOp):
+        self.generic_visit(node)
+        return self._binop(node.left, node.op, node.right)
+
+    def visit_UnaryOp(self, node: ast.UnaryOp):
+        self.generic_visit(node)
+        if _folds(node.operand):
+            node.operand = self.holes.pin(node.operand)
+        return node
 
     def visit_Subscript(self, node: ast.Subscript):
         noted = self.notes.get(id(node), _MISSING)
@@ -254,8 +479,8 @@ class _Transpiler(ast.NodeTransformer):
                                  attr="_data", ctx=ast.Load())
             if self.specialise:
                 index = _as_int(index)
-            wrapped = ast.BinOp(left=index, op=ast.Mod(),
-                                right=ast.Constant(value=noted.depth))
+            wrapped = self._binop(index, ast.Mod(),
+                                  self.holes.of(noted, "depth"))
             return ast.Subscript(value=data, slice=wrapped, ctx=node.ctx)
         if not self.specialise and noted is not _MISSING:
             if isinstance(noted, Signal):
@@ -307,8 +532,8 @@ class _Transpiler(ast.NodeTransformer):
                             ctx=ast.Load()),
             ctx=ast.Store())
         return [ast.Assign(targets=[target],
-                           value=_apply_mask(ast.Constant(value=step.code),
-                                             state._mask),
+                           value=self._mask(ast.Constant(value=step.code),
+                                            state),
                            lineno=0),
                 ast.Assign(targets=[record], value=ast.Constant(value=None),
                            lineno=0)]
@@ -321,9 +546,9 @@ class _Transpiler(ast.NodeTransformer):
         every settle ends with ``sim._dirty = False`` and ``cycle()``
         always settles after the clock edge.  ``_data`` is indexed
         through the memory slot, because ``Memory.reset`` rebinds it."""
-        value = _apply_mask(_as_int(self.visit(value)), mem._mask)
-        index = ast.BinOp(left=_as_int(self.visit(target.slice)),
-                          op=ast.Mod(), right=ast.Constant(value=mem.depth))
+        value = self._mask(_as_int(self.visit(value)), mem)
+        index = self._binop(_as_int(self.visit(target.slice)), ast.Mod(),
+                            self.holes.of(mem, "depth"))
         data = ast.Attribute(value=ast.Name(id=self._slot(mem), ctx=ast.Load()),
                              attr="_data", ctx=ast.Load())
         return ast.Assign(targets=[ast.Subscript(value=data, slice=index,
@@ -348,9 +573,9 @@ class _Transpiler(ast.NodeTransformer):
             self.written.add(noted)
             return ast.Assign(targets=[self._slot_attr(noted, "_next",
                                                        ast.Store())],
-                              value=_apply_mask(_as_int(value), noted._mask),
+                              value=self._mask(_as_int(value), noted),
                               lineno=0)
-        masked = _apply_mask(value, noted._mask)
+        masked = self._mask(value, noted)
         slot = self._slot(noted)
         if self.write == "fused":
             # Fused write+commit: topological order guarantees no earlier
@@ -422,13 +647,6 @@ def _as_int(node: ast.expr) -> ast.expr:
                     keywords=[])
 
 
-def _apply_mask(value: ast.expr, mask: int) -> ast.expr:
-    if isinstance(value, ast.Constant) and isinstance(value.value, int):
-        return ast.Constant(value=int(value.value) & mask)
-    return ast.BinOp(left=value, op=ast.BitAnd(),
-                     right=ast.Constant(value=mask))
-
-
 def _parse_stmts(source: str) -> List[ast.stmt]:
     return ast.parse(source).body
 
@@ -457,12 +675,18 @@ class Emitter:
     """
 
     def __init__(self, schedule: Schedule, comb_procs: Sequence[Callable],
-                 seq_analyses: Sequence[ProcAnalysis], max_settle: int) -> None:
+                 seq_analyses: Sequence[ProcAnalysis], max_settle: int,
+                 recorder: Recorder) -> None:
         self.schedule = schedule
         self.comb_procs = list(comb_procs)
         self.seq_analyses = list(seq_analyses)
         self.max_settle = max_settle
         self.slots = _Slots()
+        self.holes = _Holes(recorder, (
+            proc.__code__ for proc in [*self.comb_procs,
+                                       *(a.proc for a in self.seq_analyses)]
+            if isinstance(getattr(proc, "__code__", None), types.CodeType)),
+            max_settle)
         self.lines: List[str] = []
         #: ``(proc_index, analysis)`` of the call units met while emitting
         #: settle, specialised afterwards.
@@ -492,7 +716,7 @@ class Emitter:
                 else:
                     self.lines.append(f"{indent}{slot}._value = {slot}._next")
             return
-        transpiler = _Transpiler(unit.analysis, self.slots,
+        transpiler = _Transpiler(unit.analysis, self.slots, self.holes,
                                  proc_tag=str(unit.proc_index),
                                  write="guarded" if guarded else "fused")
         transformed = _flatten(transpiler.visit(unit.stmt.node))
@@ -506,8 +730,8 @@ class Emitter:
         stays generic."""
         reason = _generic_reason(analysis)
         if reason is None:
-            transpiler = _Transpiler(analysis, self.slots, proc_tag=name,
-                                     write="next")
+            transpiler = _Transpiler(analysis, self.slots, self.holes,
+                                     proc_tag=name, write="next")
             body = [stmt for node in analysis.tree.body
                     for stmt in _flatten(transpiler.visit(node))]
             if transpiler.clash is not None:
@@ -639,7 +863,6 @@ class Emitter:
 
     def build(self) -> EmittedModule:
         blocks = self.emit_module()
-        source = "\n\n".join(blocks) + "\n"
         report = self._report()
         tables: Dict[str, List[object]] = {
             "_SIGS": list(self.slots.signals),
@@ -650,7 +873,7 @@ class Emitter:
         }
         # Free the analyses' syntax trees before the compiler needs memory.
         self.schedule = self.seq_analyses = self.call_units = None
-        # One block per compile(), padded so line numbers match ``source``:
+        # One block per compile(), padded so line numbers match the source:
         # CPython's compiler holds ~100 bytes per source byte while it
         # runs, so compiling the whole module at once would raise the
         # process's memory high-water mark with it.
@@ -660,8 +883,26 @@ class Emitter:
             codes.append(compile("\n" * line + block, "<repro.rtl.compile>",
                                  "exec"))
             line += block.count("\n") + 2
-        return EmittedModule(codes=tuple(codes), source=source, report=report,
-                             tables=tables)
+        holes = self.holes
+        text, spans, used = _render("\n\n".join(blocks) + "\n", holes)
+        # Placeholders the emitter built and then dropped are not values of
+        # this module; each one left in the text must survive compile().
+        index = {holes.base + number: at for at, number in enumerate(used)}
+        met: Set[int] = set()
+        fills = tuple(_fill(code, holes.base, index, met) for code in codes)
+        if met != index.keys():
+            lost = [holes.refs[placeholder - holes.base]
+                    for placeholder in index.keys() - met]
+            raise RTLError(f"compile() folded placeholders away (lost "
+                           f"{lost}, {len(met - index.keys())} constant(s) "
+                           "left in the placeholder range): the emitter "
+                           "must write these values in")
+        return EmittedModule(
+            template=Template(
+                codes=tuple(codes), fills=fills, text=text, spans=spans,
+                values=tuple(holes.values[number] for number in used)),
+            refs=tuple(holes.refs[number] for number in used),
+            pinned=holes.pinned, report=report, tables=tables)
 
     def _report(self) -> CompileReport:
         transpiled = {u.proc_index for u in self.schedule.units
@@ -726,19 +967,36 @@ def _generic_reason(analysis: ProcAnalysis) -> Optional[str]:
     return None
 
 
-def load(codes: Sequence[types.CodeType],
-         tables: Dict[str, List[object]]) -> Tuple[Callable, Callable]:
-    """Exec a module's blocks against one design's slot tables; returns its
-    ``(settle, cycle)``.  The blocks hold no design object, so a recipe's
-    blocks load against every design its guard accepts.  They rebind the
-    ``_PROCS``/``_SEQS`` entries they specialise, so each load gets copies
-    of the tables."""
-    namespace: Dict[str, object] = {name: list(objects)
-                                    for name, objects in tables.items()}
-    namespace.update(_bind=_bind, CombinationalLoopError=CombinationalLoopError)
-    for code in codes:
-        exec(code, namespace)
-    return namespace["settle"], namespace["cycle"]
+def _render(source: str, holes: _Holes
+            ) -> Tuple[str, Tuple[Tuple[int, int, int], ...], List[int]]:
+    """``source`` with the recording design's values written in place of
+    its placeholders, the span of each value in it, and the placeholder
+    number of each value index (numbered by first appearance)."""
+    if not holes.refs:
+        return source, (), []
+    low, high = str(holes.base), str(holes.base + len(holes.refs) - 1)
+    prefix = os.path.commonprefix([low[:-1], high])
+    width = len(high) - len(prefix)
+    pieces = source.split(prefix)
+    out = [pieces[0]]
+    offset = len(pieces[0])
+    spans: List[Tuple[int, int, int]] = []
+    at: Dict[int, int] = {}
+    for piece in pieces[1:]:
+        digits = piece[:width]
+        number = int(prefix + digits) - holes.base \
+            if digits.isdigit() and not piece[width:width + 1].isdigit() \
+            else -1
+        if 0 <= number < len(holes.refs):
+            value = str(holes.values[number])
+            spans.append((offset, offset + len(value),
+                          at.setdefault(number, len(at))))
+            out += (value, piece[width:])
+            offset += len(value) + len(piece) - width
+        else:
+            out += (prefix, piece)
+            offset += len(prefix) + len(piece)
+    return "".join(out), tuple(spans), list(at)
 
 
 def _bind(factory: Callable, proc: Callable) -> Callable:

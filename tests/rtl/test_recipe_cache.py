@@ -1,11 +1,14 @@
 """The compiled backend's recipe cache: hits exactly when the guard holds.
 
 A second design with the same process code objects is served from the
-recipe cache only when every instance fact the first compile read —
-closure cells, globals, folded attributes, subscripted elements, FSM
-encodings, masks, depths and aliasing — reads the same on the new design.
-Every miss case below builds designs from the *same* code objects, so a
-cache keyed by code objects alone would wrongly hit on each of them.
+recipe cache only when every *decision* fact the first compile read —
+closure cells, globals, subscripted elements and their indices, FSM
+encodings, types, aliasing, ints in truth tests — reads the same on the
+new design.  *Value* facts — masks, memory depths and instance ints that
+only ever become literals — are written into the recipe's compiled module
+per design, unless the emitter folded one into another constant.  Every
+miss case below builds designs from the *same* code objects, so a cache
+keyed by code objects alone would wrongly hit on each of them.
 """
 
 import gc
@@ -37,6 +40,7 @@ from repro.rtl import (
     SimulationError,
     Simulator,
 )
+from repro.rtl.errors import RTLError
 from repro.rtl.compile import analyze
 from repro.rtl.compile import emit as rtl_emit
 from repro.testing import random_stream_schedule
@@ -370,11 +374,11 @@ class _Cycler(Component):
                 fsm.goto("A")
 
 
-def test_another_fifo_capacity_misses():
+def test_another_fifo_capacity_hits():
     assert not _matches_fixpoint(
         lambda: VideoSystem(build_saa2vga_pattern("fifo", capacity=8),
                             frames=[FRAME]), cycles=80)
-    assert not _matches_fixpoint(
+    assert _matches_fixpoint(
         lambda: VideoSystem(build_saa2vga_pattern("fifo", capacity=16),
                             frames=[FRAME]), cycles=80)
     assert _matches_fixpoint(
@@ -402,9 +406,9 @@ def test_changed_closure_cell_scalar_misses():
     assert _matches_fixpoint(lambda: _Offset(2))
 
 
-def test_changed_folded_instance_attribute_misses():
+def test_changed_folded_instance_attribute_hits():
     assert not _matches_fixpoint(lambda: _Scaled(2))
-    assert not _matches_fixpoint(lambda: _Scaled(3))
+    assert _matches_fixpoint(lambda: _Scaled(3))
     assert _matches_fixpoint(lambda: _Scaled(3))
 
 
@@ -435,6 +439,168 @@ def test_fsm_with_another_state_list_misses():
     assert not _matches_fixpoint(lambda: _Cycler(["A", "B", "C"]))
     assert not _matches_fixpoint(lambda: _Cycler(["B", "A", "C"]))
     assert _matches_fixpoint(lambda: _Cycler(["B", "A", "C"]))
+
+
+# -- values and decisions ---------------------------------------------------------
+
+
+class _Picked(Component):
+    """``out = regs[self.k] + self.k``: ``k`` both picks a signal and folds
+    into a literal."""
+
+    def __init__(self, k):
+        super().__init__("picked")
+        self.k = k
+        self.regs = [self.state(8, init=10 * i) for i in range(4)]
+        self.out = self.signal(8)
+
+        @self.comb
+        def pick():
+            self.out.next = self.regs[self.k].value + self.k
+
+        @self.seq
+        def count():
+            for reg in self.regs:
+                reg.next = reg.value + 1
+
+
+class _Flagged(Component):
+    """``out = a + 1 if self.flag else a``: an int in a truth test."""
+
+    def __init__(self, flag):
+        super().__init__("flagged")
+        self.flag = flag
+        self.a = self.state(8)
+        self.out = self.signal(8)
+
+        @self.comb
+        def gate():
+            if self.flag:
+                self.out.next = self.a.value + 1
+            else:
+                self.out.next = self.a.value
+
+        @self.seq
+        def count():
+            self.a.next = self.a.value + 3
+
+
+class _Less(Component):
+    """``out = a * (self.k - 1) - -self.k``: CPython folds both literals
+    with their constant siblings."""
+
+    def __init__(self, k):
+        super().__init__("less")
+        self.k = k
+        self.a = self.state(8)
+        self.out = self.signal(8)
+
+        @self.comb
+        def less():
+            self.out.next = self.a.value * (self.k - 1) - -self.k
+
+        @self.seq
+        def count():
+            self.a.next = self.a.value + 1
+
+
+class _Folded(Component):
+    """A comb signal and a register each written two ways: a constant
+    expression CPython folds (``-2``, ``(1 << 3) - 1``, ``self.k - 1``)
+    and a signal, so the mask stays in the other write too."""
+
+    def __init__(self, width, k=5):
+        super().__init__("folded")
+        self.k = k
+        self.a = self.state(width)
+        self.neg = self.signal(width)
+        self.low = self.signal(width)
+        self.less = self.signal(width)
+        self.neg_r = self.state(width)
+        self.low_r = self.state(width)
+        self.less_r = self.state(width)
+
+        @self.comb
+        def pick():
+            if self.a.value & 1:
+                self.neg.next = -2
+                self.low.next = (1 << 3) - 1
+                self.less.next = self.k - 1
+            else:
+                self.neg.next = self.a.value
+                self.low.next = self.a.value
+                self.less.next = self.a.value
+
+        @self.seq
+        def count():
+            self.a.next = self.a.value + 1
+            if self.a.value & 2:
+                self.neg_r.next = -2
+                self.low_r.next = (1 << 3) - 1
+                self.less_r.next = self.k - 1
+            else:
+                self.neg_r.next = self.a.value
+                self.low_r.next = self.a.value
+                self.less_r.next = self.a.value
+
+
+def test_a_folded_constant_is_masked_with_its_own_designs_mask():
+    assert not _matches_fixpoint(lambda: _Folded(4))
+    assert not _matches_fixpoint(lambda: _Folded(3))
+    assert not _matches_fixpoint(lambda: _Folded(8, k=1))
+    assert _matches_fixpoint(lambda: _Folded(3))
+    assert _matches_fixpoint(lambda: _Folded(8, k=1))
+
+
+def test_an_int_that_also_indexes_a_subscript_misses():
+    assert not _matches_fixpoint(lambda: _Picked(2))
+    assert not _matches_fixpoint(lambda: _Picked(1))
+    assert _matches_fixpoint(lambda: _Picked(1))
+
+
+def test_an_int_in_a_truth_test_misses():
+    assert not _matches_fixpoint(lambda: _Flagged(1))
+    assert not _matches_fixpoint(lambda: _Flagged(2))
+    assert not _matches_fixpoint(lambda: _Flagged(0))
+    assert _matches_fixpoint(lambda: _Flagged(2))
+
+
+def test_an_int_folded_with_a_constant_misses():
+    assert not _matches_fixpoint(lambda: _Less(3))
+    assert not _matches_fixpoint(lambda: _Less(5))
+    assert _matches_fixpoint(lambda: _Less(5))
+
+
+def test_a_bool_attribute_misses():
+    assert not _matches_fixpoint(lambda: _Scaled(True))
+    assert not _matches_fixpoint(lambda: _Scaled(1))
+    assert not _matches_fixpoint(lambda: _Scaled(False))
+    assert _matches_fixpoint(lambda: _Scaled(False))
+
+
+def test_fsm_with_another_state_count_misses():
+    assert not _matches_fixpoint(lambda: _Cycler(["A", "B", "C"]))
+    assert not _matches_fixpoint(lambda: _Cycler(["A", "B", "C", "D", "E"]))
+    assert _matches_fixpoint(lambda: _Cycler(["A", "B", "C", "D", "E"]))
+
+
+def test_a_placeholder_lost_to_folding_raises(monkeypatch):
+    monkeypatch.setattr(rtl_emit, "_folds", lambda node: False)
+    with pytest.raises(RTLError, match="folded"):
+        Simulator(_Less(3))
+
+
+def test_a_hit_writes_its_own_values_into_the_source():
+    cold = Simulator(VideoSystem(build_saa2vga_pattern("sram", capacity=8),
+                                 frames=[FRAME]))
+    hit, cached = _construct(VideoSystem(
+        build_saa2vga_pattern("sram", capacity=32), frames=[FRAME]))
+    assert cached
+    assert hit.compiled_source != cold.compiled_source
+    rtl_compile._clear_recipes()
+    recold = Simulator(VideoSystem(build_saa2vga_pattern("sram", capacity=32),
+                                   frames=[FRAME]))
+    assert hit.compiled_source == recold.compiled_source
 
 
 # -- plain data behind a dynamic index ------------------------------------------
