@@ -23,13 +23,16 @@ FENCE = re.compile(r"^```(\S*)\s*$")
 @dataclass
 class Snippet:
     path: Path
+    number: int  # 1-based count of this fence within its file
     line: int  # 1-based line of the opening fence
     language: str
     source: str
 
     @property
     def id(self):
-        return f"{self.path.name}:{self.line}"
+        # Counting fences, not lines, keeps every id stable when prose
+        # above a fence is edited.
+        return f"{self.path.name}#{self.number}"
 
 
 def extract_snippets(path):
@@ -43,7 +46,7 @@ def extract_snippets(path):
         if language is None:
             language, start, body = match.group(1), number, []
         else:
-            snippets.append(Snippet(path, start, language,
+            snippets.append(Snippet(path, len(snippets) + 1, start, language,
                                     "\n".join(body) + "\n"))
             language = None
     assert language is None, f"unterminated fence at {path.name}:{start}"
@@ -73,7 +76,7 @@ def test_fence_language_is_recognised(snippet):
 def test_snippet_runs(snippet):
     if snippet.language == "python":
         code = compile(snippet.source, snippet.id, "exec")
-        exec(code, {"__name__": f"docsnippet_{snippet.line}"})
+        exec(code, {"__name__": f"docsnippet_{snippet.number}"})
         return
     parser = doctest.DocTestParser()
     test = parser.get_doctest(snippet.source, {}, snippet.id,
