@@ -39,10 +39,10 @@ FLOORS = [
     # (mirrors test_compiled_backend_speedup_on_sram).
     ("saa2vga_sram", "compiled", "fixpoint", 7.0),
     ("blur_pattern", "compiled", "fixpoint", 1.5),
-    # Telemetry (repro.obs): compiled throughput measured after a tracing/
-    # profiling enable+disable cycle must stay within 3% of the plain
-    # compiled floor (2.0 * 0.97) — the disabled dispatch check is the
-    # entire cost (mirrors test_disabled_telemetry_keeps_compiled_throughput).
+    # Telemetry (repro.obs): compiled throughput measured after a tracing
+    # enable+disable cycle must stay within 3% of the plain compiled floor
+    # (2.0 * 0.97) — the disabled tracing check is the entire cost
+    # (mirrors test_disabled_telemetry_keeps_compiled_throughput).
     ("saa2vga_fifo", "compiled-obs-off", "fixpoint", 1.94),
     # Elaborated pipeline graph (repro.flow): the many small bridge
     # processes of the graph shell must keep dissolving into the compiled

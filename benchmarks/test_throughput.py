@@ -186,22 +186,20 @@ def test_compiled_backend_speedup_over_fixpoint(benchmark):
 
 
 def _obs_off_cps(design: str) -> float:
-    """Compiled cycles/s measured *after* a telemetry enable+disable cycle.
+    """Compiled cycles/s measured *after* a tracing enable+disable cycle.
 
-    The telemetry dispatch in ``Simulator.step`` must leave the disabled
-    hot path untouched — including after a profiling session has come and
+    The tracing check in ``Simulator.step`` must leave the disabled hot
+    path untouched — including after a tracing session has come and
     gone.  Exercising enable → trace a little → disable before measuring
     catches any state the obs layer might leak into the fast loop.
     """
     key = (design, "compiled-obs-off")
     if key in _cps_cache:
         return _cps_cache[key]
-    from repro.obs import profile, tracing
+    from repro.obs import tracing
     tracing.enable()
-    profile.enable()
     warm = Simulator(SPEED_DESIGNS[design](), strategy=COMPILED)
     warm.step(64)
-    profile.disable()
     tracing.disable()
     tracing.drain()
     factory = SPEED_DESIGNS[design]

@@ -108,8 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "other extension gets Chrome trace-event JSON "
                           "(inspect with python -m repro.obs)")
     obs.add_argument("--profile", action="store_true",
-                     help="print a per-strategy settle/compile wall-time "
-                          "breakdown after the sweep")
+                     help="after the sweep, print its phase table, the "
+                          "kernel rate per settle strategy and the compile "
+                          "counts, pool workers' included")
 
     out = parser.add_argument_group("output")
     out.add_argument("--title", default="Design-space exploration.")

@@ -1,7 +1,7 @@
-"""Unified telemetry: metrics registry, structured tracing, profiling.
+"""Unified telemetry: metrics registry and structured tracing.
 
 The observation layer for the whole stack (simulate → compile → sweep →
-serve), with three pillars:
+serve), with two pillars:
 
 ``repro.obs.metrics``
     A thread-safe process-wide registry of counters, gauges and labeled
@@ -15,9 +15,9 @@ serve), with three pillars:
     into an in-process ring buffer, exportable as NDJSON or
     Perfetto-loadable Chrome trace-event JSON (:mod:`repro.obs.export`).
 
-``repro.obs.profile``
-    Opt-in per-settle breakdowns (time per strategy, convergence
-    iteration counts, fallback hits) behind the ``--profile`` CLI flags.
+The ``--profile`` CLI flags are a view over both: the run's phase table,
+kernel rates from its ``step``/``run_until`` spans and a compile line from
+its counter deltas (:func:`repro.obs.export.profile_report`).
 
 Everything is **off by default**, and the disabled paths are guaranteed
 allocation-free on the simulator hot loop (``tests/obs/test_overhead.py``
@@ -34,9 +34,8 @@ from __future__ import annotations
 import contextlib
 from typing import Iterator, Optional
 
-from . import export, metrics, profile, tracing
+from . import export, metrics, tracing
 from .metrics import REGISTRY, MetricsRegistry, render_prometheus
-from .profile import SettleProfiler
 from .tracing import add_event, enabled, span
 
 
@@ -45,45 +44,47 @@ def recording(trace_path: Optional[str] = None, profiling: bool = False,
               quiet: bool = False) -> Iterator[None]:
     """Record the body's telemetry: a CLI's ``--trace PATH``/``--profile``.
 
-    Installs a profiler when ``profiling`` and starts tracing when
-    ``trace_path`` is given.  On the way out — also when the body raises
-    — both are switched off again, the trace is written to
-    ``trace_path`` (led by a ``trace.meta`` header declaring ring-buffer
-    overflow; the extension picks the format) and the profile table is
-    printed.  ``quiet`` suppresses the printed lines, not the file.
+    Starts tracing when ``trace_path`` is given or ``profiling``, and
+    when profiling also snapshots the registry's counters.  On the way
+    out — also when the body raises — tracing is switched off again, the
+    trace is written to ``trace_path`` (led by a ``trace.meta`` header
+    declaring ring-buffer overflow; the extension picks the format) and,
+    when profiling, :func:`export.profile_report` of the recorded spans
+    and the counter deltas is printed.  ``quiet`` suppresses the printed
+    lines, not the file.
     """
-    profiler = profile.enable() if profiling else None
-    if trace_path is not None:
-        tracing.enable()
+    if trace_path is None and not profiling:
+        yield
+        return
+    counters = REGISTRY.counters() if profiling else {}
+    tracing.enable()
     try:
         yield
     finally:
+        tracing.disable()
+        # stats() survives drain(): read the overflow count first so
+        # the header declares how truncated the trace is.
+        dropped = tracing.stats()["dropped"]
+        records = tracing.drain()
+        records.insert(0, export.meta_record(dropped_spans=dropped))
         if trace_path is not None:
-            tracing.disable()
-            # stats() survives drain(): read the overflow count first so
-            # the header declares how truncated the trace is.
-            dropped = tracing.stats()["dropped"]
-            records = tracing.drain()
-            records.insert(0, export.meta_record(dropped_spans=dropped))
             fmt = export.write_trace(records, trace_path)
             if not quiet:
                 print(f"trace: {len(records)} record(s) written to "
                       f"{trace_path} ({fmt})")
-        if profiler is not None:
-            profile.disable()
-            if not quiet:
-                print(profiler.report())
+        if profiling and not quiet:
+            deltas = {name: value - counters.get(name, 0)
+                      for name, value in REGISTRY.counters().items()}
+            print(export.profile_report(records, deltas))
 
 
 __all__ = [
     "REGISTRY",
     "MetricsRegistry",
-    "SettleProfiler",
     "add_event",
     "enabled",
     "export",
     "metrics",
-    "profile",
     "recording",
     "render_prometheus",
     "span",

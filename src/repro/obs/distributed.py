@@ -1,9 +1,9 @@
 """Cross-process trace propagation and sweep-wide trace merging.
 
 The in-process instruments (:mod:`repro.obs.tracing`,
-:mod:`repro.obs.metrics`, :mod:`repro.obs.profile`) stop at the process
-boundary — and the production sweep path (:mod:`repro.serve.jobs`) farms
-shards to SIGKILL-able worker processes.  This module is the bridge:
+:mod:`repro.obs.metrics`) stop at the process boundary — and the
+production sweep path (:mod:`repro.serve.jobs`) farms shards to
+SIGKILL-able worker processes.  This module is the bridge:
 
 * **Context propagation** — the manager stamps every dispatched shard
   with a :class:`TraceContext` (sweep trace id + the manager-side span
@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import profile, tracing
+from . import tracing
 from .export import PROCESS_NAME, TRACE_META, meta_record
 from .metrics import REGISTRY
 
@@ -104,17 +104,15 @@ def reset_worker_telemetry() -> None:
     """Scrub all telemetry state in a just-started worker process.
 
     Under the ``fork`` start method a worker begins life with a full
-    copy of the parent's metrics registry, tracing ring buffer, profiler
-    and active-session flags.  Without this reset the worker's first
-    counter delta would re-ship everything the *parent* ever counted
-    (pool-wide aggregation would double-count it), a tracing session
-    enabled in the parent would leak parent spans into worker exports,
-    and an inherited profiler would time every worker step for a report
-    nobody prints.  Called first thing in
+    copy of the parent's metrics registry, tracing ring buffer and
+    active-session flag.  Without this reset the worker's first counter
+    delta would re-ship everything the *parent* ever counted (pool-wide
+    aggregation would double-count it), and a tracing session enabled in
+    the parent (``--trace`` or ``--profile``) would leak parent spans
+    into worker exports.  Called first thing in
     ``repro.serve.jobs._worker_main``.
     """
     tracing.reset()
-    profile.disable()
     REGISTRY.reset()
     _COUNTER_BASELINE.clear()
 

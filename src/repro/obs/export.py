@@ -15,6 +15,8 @@ Two interchangeable file formats for the records produced by
 wall-time *attribution* figure: for the longest root span, the fraction
 of its duration covered by its direct children — the "≥ 95% of wall time
 is attributed to named phases" acceptance metric of the telemetry layer.
+:func:`profile_report` adds kernel rates and compile accounting to it:
+the ``--profile`` report.
 :func:`validate_chrome` checks the structural invariants the trace
 integrity tests (and the CI observability smoke job) pin: monotonic
 ``ts``, complete events only, stable ``pid``/``tid``.
@@ -285,4 +287,48 @@ def summarize(records: Sequence[dict]) -> str:
         lines.append(
             f"root span {root['name']!r}: {root.get('dur', 0) / 1e6:.3f} ms, "
             f"{fraction * 100:.1f}% attributed to direct children")
+    return "\n".join(lines)
+
+
+def profile_report(records: Sequence[dict],
+                   counters: Dict[str, float]) -> str:
+    """The ``--profile`` report: a view over a run's spans and counters.
+
+    :func:`summarize` of ``records``; one ``kernel:`` line per settle
+    strategy, summing the cycles and durations of its batch ``step``
+    spans and its ``run_until`` spans (named ``settle``); and a
+    ``compile:`` line read from ``counters``, the run's
+    :data:`~repro.obs.metrics.REGISTRY` counter deltas.  Pool workers
+    ship those deltas back on every shard reply, so the compile line
+    counts their constructions too.
+    """
+    lines = [summarize(records)]
+    kernels: Dict[str, List[float]] = {}
+    for record in records:
+        args = record.get("args") or {}
+        if record.get("ph") == "X" and (record.get("name") == "step"
+                                        or args.get("kind") == "run_until"):
+            kernel = kernels.setdefault(str(args.get("strategy")), [0, 0, 0])
+            kernel[0] += args.get("cycles", 0)
+            kernel[1] += record.get("dur", 0) / 1e9
+            kernel[2] += 1
+    for strategy in sorted(kernels):
+        cycles, seconds, spans = kernels[strategy]
+        rate = cycles / seconds / 1e3 if seconds else 0.0
+        lines.append(f"kernel: {strategy} {cycles} cycle(s) in "
+                     f"{seconds:.3f} s, {rate:.1f} kcyc/s ({spans} span(s))")
+
+    def count(name: str) -> float:
+        return counters.get(name, 0)
+
+    hits = count("compile_recipe_hits")
+    lines.append(
+        f"compile: {hits + count('compile_recipe_misses')} construction(s), "
+        f"{hits} from the recipe cache, "
+        f"{count('compile_seconds'):.3f} s total; "
+        f"{count('compile_cyclic_groups')} cyclic group(s), "
+        f"{count('compile_opaque_procs')} opaque proc(s), "
+        f"{count('compile_generic_procs')} generic proc(s), "
+        f"{count('compile_guarded')} guarded, "
+        f"{count('compile_analysis_misses')} analysis miss(es)")
     return "\n".join(lines)

@@ -50,7 +50,6 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Optional
 
-from ..obs import profile as _obs_profile
 from ..obs import tracing as _obs_tracing
 from ..obs.metrics import REGISTRY
 from .component import Component, Memory
@@ -110,9 +109,6 @@ class Simulator:
         #: falling back to fixpoint convergence, but a non-zero count means
         #: the analyser should be fixed.  Always 0 on the shipped designs.
         self.analysis_misses = 0
-        profiler = _obs_profile.active()
-        if profiler is not None:
-            profiler.record_sim(strategy)
         # Detach any compiled simulator a previous construction left on this
         # hierarchy, so writes stop feeding its stale queue.
         self._invalidate_previous()
@@ -138,16 +134,20 @@ class Simulator:
                                                max_settle=max_settle)
                 span.args["recipe"] = ("hit" if self._program.cached
                                        else "miss")
-            if self._program.report.guarded:
+            report = self._program.report
+            # Per-construction compile accounting (``--profile`` prints it);
+            # opaque and generic processes are the degraded paths.
+            REGISTRY.inc("compile_seconds",
+                         time.perf_counter() - compile_start)
+            REGISTRY.inc("compile_cyclic_groups", report.n_cyclic_groups)
+            REGISTRY.inc("compile_opaque_procs", report.n_opaque_procs)
+            REGISTRY.inc("compile_generic_procs", report.n_generic_procs)
+            if report.guarded:
                 REGISTRY.inc("compile_guarded")
-            if profiler is not None:
-                profiler.record_compile(time.perf_counter() - compile_start,
-                                        self._program.report,
-                                        hit=self._program.cached)
             #: Generated Python source of the specialised settle/cycle pair.
             self.compiled_source = self._program.source
             #: :class:`~repro.rtl.compile.emit.CompileReport` for this design.
-            self.compile_report = self._program.report
+            self.compile_report = report
         else:
             for sig in self._signals:
                 sig._sched = None
@@ -311,67 +311,39 @@ class Simulator:
     def step(self, cycles: int = 1) -> None:
         """Advance the design by ``cycles`` clock cycles.
 
-        The telemetry check up front is the *entire* disabled-path cost:
-        two module-attribute reads (``tests/obs/test_overhead.py`` pins
+        The tracing check up front is the *entire* disabled-path cost:
+        one module-attribute read (``tests/obs/test_overhead.py`` pins
         the disabled step loop to zero telemetry allocations, and the
         ``compiled-obs-off`` floor in ``benchmarks/check_regression.py``
-        pins its throughput).  Only while a profiler or tracer is
-        installed does the instrumented wrapper run.
+        pins its throughput).  While tracing, a call that advances more
+        than one cycle records one ``step`` span; a single-cycle step
+        records nothing, so spans stay batch-granular, never per cycle.
         """
         if cycles < 0:
             raise SimulationError(f"cannot step a negative number of cycles: {cycles}")
-        if _obs_profile._ACTIVE is not None or _obs_tracing._STATE.active:
-            self._step_instrumented(cycles)
+        if _obs_tracing._STATE.active and cycles > 1:
+            with _obs_tracing.span("step", strategy=self._strategy,
+                                   cycles=cycles):
+                self._step_plain(cycles)
             return
         self._step_plain(cycles)
 
-    def _step_plain(self, cycles: int) -> int:
-        """The uninstrumented hot loops — one per settle strategy.
-
-        Returns the settle delta iterations the loop ran (for the compiled
-        strategy, the convergence rounds the generated ``cycle()`` reports).
-        """
-        rounds = 0
+    def _step_plain(self, cycles: int) -> None:
+        """The uninstrumented hot loops — one per settle strategy."""
         if self._strategy == COMPILED:
             cycle = self._program.cycle
             for _ in range(cycles):
-                rounds += cycle(self)
-            return rounds
+                cycle(self)
+            return
         for _ in range(cycles):
-            rounds += self._settle_fixpoint()
+            self._settle_fixpoint()
             for proc in self._seq:
                 proc()
             self._commit_all()
-            rounds += self._settle_fixpoint()
+            self._settle_fixpoint()
             self._cycles += 1
             for watcher in self._watchers:
                 watcher(self._cycles)
-        return rounds
-
-    def _step_instrumented(self, cycles: int) -> None:
-        """Step with telemetry: a batch-level span and a timer around the
-        plain loop, reported to the profiler when one is installed.
-
-        Spans stay *batch*-granular — one span per :meth:`step` call when
-        it advances more than one cycle, never one per cycle — so tracing
-        a million-cycle run records a handful of spans, not a million.
-        """
-        profiler = _obs_profile.active()
-        span = _obs_tracing.NULL_SPAN
-        if _obs_tracing._STATE.active and cycles > 1:
-            span = _obs_tracing.span("step", strategy=self._strategy,
-                                     cycles=cycles)
-            if profiler is not None:
-                span.args["profiled"] = True
-        misses_before = self.analysis_misses
-        with span:
-            start = time.perf_counter()
-            rounds = self._step_plain(cycles)
-            elapsed = time.perf_counter() - start
-        if profiler is not None:
-            profiler.record_step(
-                self._strategy, cycles, elapsed, settle_iterations=rounds,
-                fallback_hits=self.analysis_misses - misses_before)
 
     def run_until(self, condition: Callable[[], bool],
                   max_cycles: Optional[int] = None) -> int:
@@ -393,13 +365,13 @@ class Simulator:
                    max_cycles: Optional[int]) -> int:
         budget = self.max_cycles if max_cycles is None else max_cycles
         start = self._cycles
-        # Without a settle profiler a step is one call of the compiled
-        # ``cycle()``, so call it directly rather than through ``step()``
-        # and ``_step_plain()``; with one, each cycle stays a profiled step.
-        if self._strategy == COMPILED and _obs_profile._ACTIVE is None:
+        # A compiled step is one call of the generated ``cycle()``, so call
+        # it directly rather than through ``step()`` and ``_step_plain()``,
+        # whatever telemetry is on: the ``run_until`` span times this loop.
+        if self._strategy == COMPILED:
             advance, arg = self._program.cycle, self
         else:
-            advance, arg = self.step, 1
+            advance, arg = self._step_plain, 1
         while not condition():
             if self._cycles - start >= budget:
                 raise SimulationError(

@@ -127,8 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="record search-round spans and write them here "
                           "(.ndjson/.jsonl lines or Chrome trace JSON)")
     obs.add_argument("--profile", action="store_true",
-                     help="print a per-strategy settle/compile wall-time "
-                          "breakdown after the search")
+                     help="after the search, print its phase table, the "
+                          "kernel rate per settle strategy and the compile "
+                          "counts")
     return parser
 
 

@@ -220,9 +220,9 @@ def _worker_main(conn, worker_id: int) -> None:
     a lost shard's telemetry stays lost instead of corrupted.
     """
     # Under the fork start method this process begins life with the
-    # parent's metric counters, tracing ring buffer and profiler state —
-    # scrub all of it before the first shard or pool-wide aggregation
-    # would double-count everything the manager already recorded.
+    # parent's metric counters and tracing state — scrub all of it
+    # before the first shard or pool-wide aggregation would double-count
+    # everything the manager already recorded.
     _distributed.reset_worker_telemetry()
     # A worker forked after ``python -m repro.serve`` routed SIGTERM to
     # KeyboardInterrupt inherits that handler; terminate() must kill it.

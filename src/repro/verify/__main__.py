@@ -50,9 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="persistent result store; clean sessions are "
                              "replayed from it instead of re-simulating")
     parser.add_argument("--profile", action="store_true",
-                        help="print a per-strategy settle/compile wall-time "
-                             "breakdown after the matrix "
-                             "(docs/observability.md)")
+                        help="after the matrix, print its phase table and "
+                             "compile counts (docs/observability.md)")
     return parser
 
 

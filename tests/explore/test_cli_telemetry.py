@@ -1,16 +1,19 @@
 """The CLIs' ``--trace``/``--profile`` lifecycle end to end.
 
 Explore, search and verify wrap their run in :func:`repro.obs.recording`:
-it enables tracing/profiling before the run, always disables both
-afterwards, and writes the trace file and prints the profile even when
-the run raises.  These tests drive each ``main()`` in-process.
+it enables tracing before the run, always disables it afterwards, and
+writes the trace file and prints the ``--profile`` report (the phase
+table, ``kernel:`` and ``compile:`` lines) even when the run raises.
+These tests drive each ``main()`` in-process.
 """
+
+import re
 
 import pytest
 
 import repro.verify.__main__ as verify_cli
 from repro.explore.__main__ import main as explore_main
-from repro.obs import export, profile, tracing
+from repro.obs import export, tracing
 from repro.rtl.compile import _clear_recipes
 from repro.search.__main__ import main as search_main
 from repro.serve import ResultStore
@@ -22,7 +25,6 @@ def _telemetry_reset():
     yield
     tracing.disable()
     tracing.drain()
-    profile.disable()
 
 
 def _run(tmp_path, *extra):
@@ -69,15 +71,37 @@ def test_trace_flag_chrome_extension_writes_chrome_format(tmp_path):
 def test_profile_flag_prints_report(tmp_path, capsys):
     assert _run(tmp_path, "--profile") == 0
     out = capsys.readouterr().out
-    assert "settle profile" in out
-    assert "compiled" in out
-    assert profile.active() is None  # lifecycle: disabled after the run
+    assert "root span 'explore.sweep'" in out
+    assert re.search(r"^kernel: compiled \d+ cycle\(s\) in .*"
+                     r"\(2 span\(s\)\)$", out, re.M)
+    assert "\ncompile: 2 construction(s), " in out
+    assert not tracing.enabled()  # lifecycle: disabled after the run
+    assert tracing.records() == []
+
+
+def test_pooled_profile_counts_every_workers_constructions(tmp_path, capsys):
+    """Workers ship their counter deltas back on every shard reply, so
+    the compile line counts the constructions made in the pool."""
+    assert _run(tmp_path, "--processes", "2", "--profile") == 0
+    out = capsys.readouterr().out
+    assert "\ncompile: 2 construction(s), " in out
+    assert not tracing.enabled()
+
+
+def test_profile_on_a_warm_store_counts_no_construction(tmp_path, capsys):
+    assert _run(tmp_path) == 0
+    capsys.readouterr()
+    assert _run(tmp_path, "--profile") == 0
+    out = capsys.readouterr().out
+    assert "2 point(s) evaluated (2 from cache" in out
+    assert "\ncompile: 0 construction(s), 0 from the recipe cache, " in out
+    assert "kernel:" not in out
 
 
 def test_without_flags_no_telemetry_artifacts(tmp_path, capsys):
     assert _run(tmp_path) == 0
     out = capsys.readouterr().out
-    assert "settle profile" not in out
+    assert "compile:" not in out
     assert "trace:" not in out
     assert tracing.records() == []
 
@@ -115,8 +139,9 @@ def test_search_trace_flag_writes_validating_trace(tmp_path, capsys):
 
 def test_search_profile_flag_prints_report(capsys):
     assert search_main(SEARCH + ["--profile"]) == 0
-    assert "settle profile" in capsys.readouterr().out
-    assert profile.active() is None
+    out = capsys.readouterr().out
+    assert "search.run" in out
+    assert "\ncompile: " in out
     assert not tracing.enabled()
 
 
@@ -124,8 +149,11 @@ def test_verify_profile_flag_prints_report(capsys):
     assert verify_cli.main(["queue/fifo", "--cycles", "120",
                             "--profile"]) == 0
     out = capsys.readouterr().out
-    assert "settle profile" in out and "compiled" in out
-    assert profile.active() is None
+    assert "verify.session" in out
+    assert "\ncompile: 1 construction(s), " in out
+    # single-cycle steps record no span, so verify prints no kernel rate
+    assert "kernel:" not in out
+    assert not tracing.enabled()
 
 
 def test_verify_profile_is_reported_and_off_when_the_run_raises(
@@ -136,5 +164,5 @@ def test_verify_profile_is_reported_and_off_when_the_run_raises(
     monkeypatch.setattr(verify_cli, "_run", broken)
     with pytest.raises(RuntimeError, match="session blew up"):
         verify_cli.main(["queue/fifo", "--profile"])
-    assert "settle profile" in capsys.readouterr().out
-    assert profile.active() is None
+    assert "\ncompile: 0 construction(s), " in capsys.readouterr().out
+    assert not tracing.enabled()

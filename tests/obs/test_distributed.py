@@ -11,7 +11,7 @@ import multiprocessing
 
 import pytest
 
-from repro.obs import profile, tracing
+from repro.obs import tracing
 from repro.obs.distributed import (
     JobTrace,
     ShardCapture,
@@ -54,14 +54,12 @@ def _forked_child(conn):
         "counters": dict(REGISTRY.counters()),
         "tracing_active": tracing.enabled(),
         "buffered": tracing.stats()["recorded"],
-        "profiling": profile.active() is not None,
     }
     reset_worker_telemetry()
     clean = {
         "counters": dict(REGISTRY.counters()),
         "tracing_active": tracing.enabled(),
         "buffered": tracing.stats()["recorded"],
-        "profiling": profile.active() is not None,
         "first_delta": counter_deltas(),
     }
     conn.send((inherited, clean))
@@ -70,9 +68,8 @@ def _forked_child(conn):
 
 def test_fork_inherits_parent_telemetry_and_reset_scrubs_it():
     # Parent state a worker must never re-ship: live counters, an
-    # active tracing session with buffered spans, an installed profiler.
+    # active tracing session with buffered spans.
     REGISTRY.inc("fork_sentinel_ops", 1000)
-    profile.enable()
     tracing.enable(64)
     with tracing.span("parent.work"):
         pass
@@ -84,7 +81,6 @@ def test_fork_inherits_parent_telemetry_and_reset_scrubs_it():
     inherited, clean = parent_conn.recv()
     process.join(10)
     tracing.reset()
-    profile.disable()
 
     # The hazard is real: fork copies everything.  (This half *documents
     # the failure mode* — without reset_worker_telemetry, `inherited` is
@@ -92,14 +88,12 @@ def test_fork_inherits_parent_telemetry_and_reset_scrubs_it():
     assert inherited["counters"].get("fork_sentinel_ops") == 1000
     assert inherited["tracing_active"]
     assert inherited["buffered"] >= 1
-    assert inherited["profiling"]
 
     # ... and the reset scrubs all of it: the worker's first delta must
     # not re-count one unit of parent-side activity.
     assert clean["counters"] == {}
     assert not clean["tracing_active"]
     assert clean["buffered"] == 0
-    assert not clean["profiling"]
     assert clean["first_delta"] == {}
 
 
@@ -145,12 +139,10 @@ def test_traced_capture_ships_spans_under_worker_root():
     context = TraceContext("sweep-x", parent_id=9, epoch_ns=1, capacity=256)
     capture = ShardCapture.begin(context.to_dict())
     assert tracing.enabled()
-    assert profile.active() is None  # traced shards are not profiled
     with tracing.span("evaluate"):
         pass
     payload = capture.finish()
     assert not tracing.enabled()
-    assert "profile" not in payload
     assert payload["dropped_spans"] == 0
     names = {r["name"] for r in payload["spans"]}
     assert {"worker.shard", "evaluate"} <= names

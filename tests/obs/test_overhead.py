@@ -18,7 +18,7 @@ import tracemalloc
 import pytest
 
 import repro.obs
-from repro.obs import profile, tracing
+from repro.obs import tracing
 from repro.rtl import Component, Simulator
 
 
@@ -41,11 +41,9 @@ class Counter(Component):
 def _telemetry_off():
     tracing.disable()
     tracing.drain()
-    profile.disable()
     yield
     tracing.disable()
     tracing.drain()
-    profile.disable()
 
 
 @pytest.mark.parametrize("strategy", ["fixpoint", "compiled"])
@@ -86,21 +84,12 @@ def test_disabled_step_allocates_nothing_from_obs(strategy):
         + "; ".join(str(d) for d in grown))
 
 
-def test_disabled_profiler_records_nothing():
-    sim = Simulator(Counter(), strategy="compiled")
-    sim.step(100)
-    assert profile.active() is None
-
-
 def test_enable_then_disable_restores_the_fast_path(monkeypatch):
     """After a telemetry session ends, stepping is plain again."""
     sim = Simulator(Counter(), strategy="compiled")
     tracing.enable()
-    profiler = profile.enable()
     sim.step(10)
     tracing.disable()
-    profile.disable()
-    assert profiler.strategies["compiled"]["cycles"] == 10
     recorded = len(tracing.records())
     assert recorded >= 1  # the instrumented batch span
 

@@ -22,7 +22,7 @@ from repro.designs import (
     build_rgb_over_bus_pipeline,
     build_saa2vga_pattern,
 )
-from repro.obs import profile
+from repro.obs import tracing
 from repro.rtl import (
     COMPILED,
     FIXPOINT,
@@ -445,13 +445,19 @@ def test_run_until_matches_a_step_loop(strategy):
     assert message == "condition not reached within 4 cycles"
 
 
-def test_run_until_under_a_profiler_records_one_step_per_cycle():
+def test_run_until_under_tracing_calls_the_compiled_cycle(monkeypatch):
+    """Tracing times the loop an untraced run runs: one span around the
+    generated ``cycle()`` calls, no ``Simulator.step`` per cycle."""
     top = _Counter()
     sim = Simulator(top)
-    profiler = profile.enable()
+    steps = []
+    monkeypatch.setattr(sim, "step", steps.append)
+    tracing.enable()
     try:
         assert sim.run_until(lambda: top.count.value >= 6) == 6
     finally:
-        profile.disable()
-    bucket = profiler.strategies[COMPILED]
-    assert (bucket["steps"], bucket["cycles"]) == (6, 6)
+        tracing.disable()
+    spans = [r for r in tracing.drain() if r["ph"] == "X"]
+    assert steps == []
+    assert [(r["name"], r["args"]["cycles"]) for r in spans] == [
+        ("settle", 6)]

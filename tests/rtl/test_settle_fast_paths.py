@@ -3,14 +3,13 @@
 * ``Simulator.settle()`` under ``compiled`` returns 0 without running the
   generated settle when nothing touched the network since the last settle,
   and runs it after every kind of write that can move the fixed point;
-* a plain compiled ``step()`` matches ``fixpoint`` cycle for cycle, and a
-  profiled one still records every step.
+* a plain compiled ``step()`` matches ``fixpoint`` cycle for cycle.
 """
 
 import pytest
 
 from repro.designs import VideoSystem, build_saa2vga_pattern
-from repro.obs import profile, tracing
+from repro.obs import tracing
 from repro.rtl import (
     COMPILED,
     FIXPOINT,
@@ -44,11 +43,9 @@ class MemReader(Component):
 @pytest.fixture(autouse=True)
 def _telemetry_off():
     tracing.disable()
-    profile.disable()
     yield
     tracing.disable()
     tracing.drain()
-    profile.disable()
 
 
 def counted(sim, monkeypatch):
@@ -145,18 +142,6 @@ def test_fixpoint_settle_always_runs(monkeypatch):
     assert sim.settle() >= 1
     assert sim.settle() >= 1
     assert len(calls) == 2
-
-
-def test_profiled_compiled_step_records_every_step():
-    sim = Simulator(MemReader(), strategy=COMPILED)
-    profiler = profile.enable()
-    for _ in range(5):
-        sim.step()
-    sim.step(3)
-    profile.disable()
-    bucket = profiler.strategies[COMPILED]
-    assert (bucket["steps"], bucket["cycles"]) == (6, 8)
-    assert sim.cycles == 8
 
 
 def stepped_trace(strategy, frame, pixels):
