@@ -7,12 +7,13 @@ it (:mod:`~repro.rtl.compile.schedule`) and emits a specialised module-level
 Python function per design (:mod:`~repro.rtl.compile.emit`): slot-indexed
 signal access, inlined bit-width masks, fused write+commit, topologically
 ordered process bodies.  The processes it cannot dissolve — every
-sequential process and every combinational call unit — run as copies of
-their own bodies specialised onto the same slots, with an FSM's own
-``goto``/``stay`` and memory stores inlined, and the clock edge commits
-their writes with emitted lines.  It is the software analogue of
-the paper's wrapper dissolution — the generic scheduler disappears into
-design-specific straight-line code.
+sequential process and every combinational call unit — are spliced into
+that one function as copies of their own bodies specialised onto the same
+slots, with an FSM's own ``goto``/``stay``, memory stores and the bodies
+of their statement-position method calls inlined, and the clock edge
+commits their writes with emitted lines: a simulated cycle is one Python
+frame.  It is the software analogue of the paper's wrapper dissolution —
+the generic scheduler disappears into design-specific straight-line code.
 
 Compilation is paid once per design *structure* per process, whatever
 its sizes.  Every read the analyser makes of instance state goes through

@@ -44,12 +44,14 @@ is a runtime value, like a ``Memory`` word, so such data never enters a
 guard and its length never slows the analysis.
 
 Every walk also leaves *notes*: which AST node resolved to which signal,
-memory or FSM state, and which calls are an FSM's own ``goto``/``stay``
-(:class:`FsmStep`).  The emitter uses them to specialise the bodies it
-does not dissolve (sequential processes and combinational call units)
-onto slots.  A sequential process is analysed with ``sequential=True``:
-its helpers are not entered, because only the notes of its own body are
-needed, not read/write sets.
+memory or FSM state, which calls are an FSM's own ``goto``/``stay``
+(:class:`FsmStep`), and which statement-position calls enter a method
+whose body the emitter may splice in place of the call (:class:`Inline`,
+with the notes of that body on its own parsed tree).  The emitter uses
+them to splice the bodies it does not dissolve (sequential processes and
+combinational call units) onto slots.  A sequential process is analysed
+with ``sequential=True``: only the notes are needed, not read/write sets,
+so of its helpers it enters only those :class:`Inline` notes name.
 """
 
 from __future__ import annotations
@@ -108,6 +110,17 @@ class FsmStep:
     fsm: Any
     state: Signal
     code: Optional[int] = None
+
+
+@dataclass
+class Inline:
+    """A statement-position call ``recv.name(...)`` that enters ``func``, a
+    plain function found on the type of ``recv``, so the call passes
+    ``recv`` as its first argument.  ``analysis`` holds the notes of
+    ``func``'s body, on a tree parsed for this call alone."""
+
+    func: types.FunctionType
+    analysis: "ProcAnalysis"
 
 
 @dataclass
@@ -401,7 +414,10 @@ class _Analyzer:
         elif isinstance(stmt, ast.Expr):
             if isinstance(stmt.value, ast.Constant):
                 return  # docstring
-            self.visit_expr(stmt.value)
+            if isinstance(stmt.value, ast.Call):
+                self.visit_call(stmt.value, statement=True)
+            else:
+                self.visit_expr(stmt.value)
         elif isinstance(stmt, ast.If):
             self.visit_expr(stmt.test, truth=True)
             self.visit_body(stmt.body)
@@ -772,7 +788,7 @@ class _Analyzer:
 
     # -- calls ------------------------------------------------------------------
 
-    def visit_call(self, node: ast.Call) -> None:
+    def visit_call(self, node: ast.Call, statement: bool = False) -> None:
         func = self.resolve(node.func)
         bound_self = None
         if func is _FAIL and isinstance(node.func, ast.Attribute):
@@ -832,8 +848,11 @@ class _Analyzer:
             self.visit_expr(arg)
         for kw in node.keywords:
             self.visit_expr(kw.value)
-        if self.recurse:
-            self.recurse_into(func, bound_self)
+        inline = statement and _binds_receiver(node, func, bound_self)
+        if self.recurse or inline:
+            helper = self.recurse_into(func, bound_self)
+            if inline and helper is not None:
+                self.note(node, Inline(func, helper))
 
     def visit_fsm_call(self, node: ast.Call, method: Callable) -> bool:
         """Note a call of ``FSM.is_in``, ``FSM.goto`` or ``FSM.stay`` itself
@@ -877,29 +896,41 @@ class _Analyzer:
         self.note(node, FsmStep(base, state, code))
         return True
 
-    def recurse_into(self, func: Callable, bound_self: Any) -> None:
+    def recurse_into(self, func: Callable, bound_self: Any
+                     ) -> Optional[ProcAnalysis]:
+        """Walk the body of the function a call enters.  Its reads and
+        writes land in the caller's sets; its notes in an analysis of its
+        own, returned (opaque when the body cannot be walked, None when
+        the call recurses).  A body that cannot be walked, or walks opaque,
+        makes a combinational caller opaque; a sequential caller only
+        keeps the call."""
         # Unwraps bound, class and static methods.
         inner, actual_self = self.recorder.read("callee", func, bound_self)
         key = (inner, id(bound_self))
         if key in self.call_stack:
-            return
+            return None
+        name = getattr(inner, "__name__", inner)
+        parsed = None
         if self.depth >= _MAX_CALL_DEPTH:
-            self.bail(f"call depth limit at {getattr(inner, '__name__', inner)}")
-            return
-        if not inspect.isfunction(inner):
-            self.bail(f"cannot analyse call target {inner!r}")
-            return
-        parsed = _parse_proc(inner)
+            reason = f"call depth limit at {name}"
+        elif not inspect.isfunction(inner):
+            reason = f"cannot analyse call target {inner!r}"
+        else:
+            parsed = _parse_proc(inner)
+            reason = f"no source for {name}"
         if parsed is None:
-            self.bail(f"no source for {getattr(inner, '__name__', inner)}")
-            return
-        sub = _Analyzer(self.analysis, inner, self.recorder,
-                        depth=self.depth + 1,
-                        call_stack=self.call_stack | {key})
-        sub.reads = self.reads
-        sub.writes = self.writes
-        sub.mem_reads = self.mem_reads
-        sub.mem_writes = self.mem_writes
+            if self.recurse:
+                self.bail(reason)
+            return ProcAnalysis(proc=inner, opaque=True,
+                                opaque_reasons=[reason])
+        helper = ProcAnalysis(proc=inner, reads=self.reads, writes=self.writes,
+                              mem_reads=self.mem_reads,
+                              mem_writes=self.mem_writes, tree=parsed)
+        if self.recurse:
+            helper.opaque_reasons = self.analysis.opaque_reasons
+        sub = _Analyzer(helper, inner, self.recorder, depth=self.depth + 1,
+                        call_stack=self.call_stack | {key},
+                        recurse=self.recurse)
         params = [a.arg for a in parsed.args.args + parsed.args.kwonlyargs]
         if parsed.args.vararg:
             params.append(parsed.args.vararg.arg)
@@ -909,8 +940,31 @@ class _Analyzer:
             sub.locals[param] = _FAIL
         if params and actual_self is not None:
             sub.locals[params[0]] = actual_self
-        # Recursion only needs reads/writes; transpilability is already off.
+        # Recursion only needs reads/writes and notes; transpilability is
+        # already off.
         sub.visit_body(parsed.body)
+        if helper.opaque and self.recurse:
+            self.analysis.opaque = True
+        return helper
+
+
+def _binds_receiver(node: ast.Call, func: Any, receiver: Any) -> bool:
+    """True when ``node`` is ``recv.name(...)`` calling ``func``, a plain
+    function that ``name`` finds on the type of ``recv`` (not in its
+    instance ``__dict__``), so the call passes ``recv`` as its first
+    argument.  The ``attr`` (or ``type_attr``) fact that resolved
+    ``func`` already tells these apart: a function from the type is
+    shared and compared by identity, one from the instance is not."""
+    if not isinstance(node.func, ast.Attribute) \
+            or type(func) is not types.FunctionType or receiver is None:
+        return False
+    attr = node.func.attr
+    try:
+        own = object.__getattribute__(receiver, "__dict__")
+    except AttributeError:
+        own = {}
+    return inspect.getattr_static(type(receiver), attr, None) is func \
+        and not (type(own) is dict and attr in own)
 
 
 def _expand(obj: Any):

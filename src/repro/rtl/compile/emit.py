@@ -15,21 +15,39 @@ one specialised Python module per design:
   never wrong, merely slower;
 * every other process with readable source — each sequential process and
   each combinational *call unit* (a body settle must call whole) — is
-  emitted as a specialised copy of its own body: resolved ``sig.value`` /
-  ``sig.next`` reads become slot reads, ``sig.next = v`` becomes
-  ``_sN._next = int(v) & MASK`` (no ``int()`` where ``v`` is an int by
-  construction), an FSM's own ``fsm.is_in("S")`` an integer compare, its
-  ``fsm.goto("S")`` a write of S's code to the state slot plus one store
-  into the FSM's transition record (``_fK``), its ``fsm.stay()`` a slot
-  copy (each only with a literal state name), memory reads index
-  ``_mN._data`` directly, and a store into a memory whose class keeps
-  ``Memory.__setitem__`` becomes ``_mN._data[int(i) % DEPTH] = int(v) &
-  MASK``.  Everything else stays the process's own Python, bound to its
-  own globals and closure cells; ``cycle()`` commits the sequential writes
-  the copies own with one ``_sN._value = _sN._next`` line each.  Writes
-  the rewrite does not own (helpers such as ``self._complete_access()``,
-  or an FSM subclass's own ``goto``) still go through ``Signal.next`` and
-  the simulator's ``_written`` list.
+  spliced into the kernel as a specialised copy of its own body: resolved
+  ``sig.value`` / ``sig.next`` reads become slot reads, ``sig.next = v``
+  becomes ``_sN._next = int(v) & MASK`` (no ``int()`` where ``v`` is an
+  int by construction), an FSM's own ``fsm.is_in("S")`` an integer
+  compare, its ``fsm.goto("S")`` a write of S's code to the state slot
+  plus one store into the FSM's transition record (``_fK``), its
+  ``fsm.stay()`` a slot copy (each only with a literal state name), a
+  memory read ``_mN._data[int(i) % DEPTH]`` and a store into a memory
+  whose class keeps ``Memory.__setitem__`` ``_mN._data[int(i) % DEPTH] =
+  int(v) & MASK`` (a subclass's own ``__getitem__`` or ``__setitem__``
+  stays a call).  Everything else stays the process's own Python.
+
+The kernel is one function, so a simulated cycle is one Python frame:
+``cycle()`` runs every sequential body inline, commits the writes they own
+with one ``_sN._value = _sN._next`` line each, then runs the settle inline,
+each call unit's body where the schedule calls it; ``settle()`` is the same
+code object entered with ``_edge`` false.  The body of each
+statement-position method call in a spliced body
+(``self._complete_access()``, ``self._account(1)``) is spliced in its
+place too, its arguments bound to its renamed parameters.  Four rules keep
+a splice exact.  Locals are renamed per body (``_q0_count``,
+``_q1h0_address`` for the first helper spliced into ``_q1``).  A
+``return`` becomes structured control flow: a body that returns early runs
+once inside ``while True:``, each ``return`` a ``break``.  Free names are
+bound by :func:`_bind` to each process's own closure cells, and a module
+global a process reads is read live from its own module through
+``_G<tag>``.  Every write a splice owns is committed by ``cycle()``.  A
+body the splice cannot take — a ``return`` inside a loop, a helper that
+relies on a default argument, closes over names or reads a module global,
+a process without readable source — stays a call, and the
+:class:`CompileReport` says why.  Writes the rewrite does not own (a kept
+call, an FSM subclass's own ``goto``) still go through ``Signal.next`` and
+the simulator's ``_written`` list.
 
 The generated source is kept on the simulator (``sim.compiled_source``) so
 it can be inspected, diffed and unit-tested like any other artefact.
@@ -37,8 +55,8 @@ it can be inspected, diffed and unit-tested like any other artefact.
 The module names no design object: it reads its signals, memories, FSMs
 and processes from the slot tables ``_SIGS``/``_MEMS``/``_FSMS``/
 ``_PROCS``/``_SEQS`` (:meth:`Template.load` binds them), and everything
-it bakes — masks, memory depths and types, FSM codes and methods, literal
-notes — is something the analyser's
+it bakes — masks, memory depths and types, FSM codes and methods, the
+methods it splices, literal notes — is something the analyser's
 :class:`~repro.rtl.compile.guard.Recorder` logged.  A *value* (a mask, a
 memory depth, a literal note of an instance int that is a value fact) is
 compiled as a placeholder int above every other constant of the module,
@@ -56,18 +74,20 @@ assignments and needs no guard.
 from __future__ import annotations
 
 import ast
+import builtins
+import dis
 import os
 import re
 import types
 from dataclasses import dataclass, field, replace
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from ..component import Memory
 from ..errors import CombinationalLoopError, RTLError
 from ..signal import Signal
-from .analyze import FsmStep, ProcAnalysis
-from .guard import Recorder
+from .analyze import FsmStep, Inline, ProcAnalysis
+from .guard import _MISSING as _UNBOUND, Recorder
 from .schedule import Schedule, Unit
 
 
@@ -84,19 +104,24 @@ class CompileReport:
     cyclic_group_sizes: List[int]
     guarded: bool
     opaque_reasons: List[str]
-    #: Sequential processes plus combinational call units emitted as
-    #: specialised copies of their bodies.
+    #: Sequential processes plus combinational call units whose
+    #: specialised bodies are spliced into the generated kernel.
     n_specialised_procs: int = 0
     #: Processes the generated code calls as written (opaque ones included).
     n_generic_procs: int = 0
     #: ``"<qualname>: <reason>"`` for every generic process.
     generic_reasons: List[str] = field(default_factory=list)
+    #: Statement-position method calls whose body is spliced in their place.
+    n_spliced_calls: int = 0
+    #: ``"<qualname>: <reason>"`` for every such call left a call.
+    kept_calls: List[str] = field(default_factory=list)
 
     def copy(self) -> "CompileReport":
         """A copy whose lists the caller may change freely."""
         return replace(self, cyclic_group_sizes=list(self.cyclic_group_sizes),
                        opaque_reasons=list(self.opaque_reasons),
-                       generic_reasons=list(self.generic_reasons))
+                       generic_reasons=list(self.generic_reasons),
+                       kept_calls=list(self.kept_calls))
 
     def summary(self) -> str:
         return (f"{self.n_procs} comb procs: {self.n_transpiled_procs} "
@@ -105,7 +130,8 @@ class CompileReport:
                 f"{self.n_cyclic_groups} cyclic groups"
                 f"{' (guarded)' if self.guarded else ''}; "
                 f"{self.n_specialised_procs} procs specialised, "
-                f"{self.n_generic_procs} generic")
+                f"{self.n_generic_procs} generic; {self.n_spliced_calls} "
+                f"helper calls spliced, {len(self.kept_calls)} kept")
 
 
 @dataclass
@@ -161,17 +187,17 @@ def _fill(code: types.CodeType, base: int, index: Dict[int, int],
 class Template:
     """A compiled module whose value facts are placeholders.
 
-    ``codes`` are its top-level blocks; ``fills`` says where the
-    placeholders sit in each (None: nowhere).  ``text`` is its source with
-    the recording design's ``values`` written in, and ``spans`` says where
-    each value sits in it: ``(start, end, value index)``.  :meth:`load`
-    writes one design's values into the code objects' constants, so the
-    kernel runs the bytecode a compile of that design's own literals
-    would, and :meth:`source` writes them into the text.
+    ``code`` is the compiled module; ``fill`` says where the placeholders
+    sit in it (None: nowhere).  ``text`` is its source with the recording
+    design's ``values`` written in, and ``spans`` says where each value
+    sits in it: ``(start, end, value index)``.  :meth:`load` writes one
+    design's values into the code objects' constants, so the kernel runs
+    the bytecode a compile of that design's own literals would, and
+    :meth:`source` writes them into the text.
     """
 
-    codes: Tuple[types.CodeType, ...]
-    fills: Tuple[Optional[_Fill], ...]
+    code: types.CodeType
+    fill: Optional[_Fill]
     text: str
     values: Tuple[int, ...]
     spans: Tuple[Tuple[int, int, int], ...]
@@ -190,18 +216,15 @@ class Template:
 
     def load(self, values: Sequence[int],
              tables: Dict[str, List[object]]) -> Tuple[Callable, Callable]:
-        """Exec the blocks, with ``values`` written in, against one
-        design's slot tables; returns its ``(settle, cycle)``.  The blocks
-        hold no design object, so a recipe's blocks load against every
-        design its guard accepts.  They rebind the ``_PROCS``/``_SEQS``
-        entries they specialise, so each load gets copies of the
-        tables."""
-        namespace: Dict[str, object] = {name: list(objects)
-                                        for name, objects in tables.items()}
+        """Exec the module, with ``values`` written in, against one
+        design's slot tables; returns its ``(settle, cycle)``.  The module
+        holds no design object, so a recipe's module loads against every
+        design its guard accepts."""
+        namespace: Dict[str, object] = dict(tables)
         namespace.update(_bind=_bind,
                          CombinationalLoopError=CombinationalLoopError)
-        for code, fill in zip(self.codes, self.fills):
-            exec(code if fill is None else fill.apply(values), namespace)
+        exec(self.code if self.fill is None else self.fill.apply(values),
+             namespace)
         return namespace["settle"], namespace["cycle"]
 
 
@@ -369,15 +392,20 @@ class _Transpiler(ast.NodeTransformer):
       commit at once;
     * ``"guarded"`` — a dissolved statement in a converging group: commit
       and flag only on change;
-    * ``"next"`` — a specialised process body: ``_sN._next = int(v) & MASK``,
-      committed by the caller.  This form rewrites only slot accesses,
-      stores into a memory that keeps ``Memory.__setitem__`` and an FSM's
-      own ``is_in``/``goto``/``stay`` on a literal state name; constants,
-      bare signal objects and local names stay the body's own Python.
+    * ``"next"`` — a body spliced into the kernel: ``_sN._next = int(v) &
+      MASK``, committed by the caller.  This form rewrites only slot
+      accesses, stores into a memory that keeps ``Memory.__setitem__``, an
+      FSM's own ``is_in``/``goto``/``stay`` on a literal state name and the
+      statement-position method calls ``emitter`` splices; each name in
+      ``names`` becomes its entry (a renamed local or free name, or a
+      literal argument), and constants, bare signal objects and every
+      other name stay the body's own Python.
     """
 
     def __init__(self, analysis: ProcAnalysis, slots: _Slots, holes: _Holes,
-                 proc_tag: str, write: str) -> None:
+                 proc_tag: str, write: str,
+                 emitter: Optional["Emitter"] = None,
+                 names: Optional[Dict[str, ast.expr]] = None) -> None:
         self.analysis = analysis
         self.notes = analysis.notes
         self.slots = slots
@@ -385,13 +413,15 @@ class _Transpiler(ast.NodeTransformer):
         self.proc_tag = proc_tag
         self.write = write
         self.specialise = write == "next"
+        self.emitter = emitter
+        self.names = names or {}
         self.temp_counter = 0
+        #: Helper calls spliced into this body so far.
+        self.helpers = 0
         #: Slot names the rewritten code uses.
         self.used: Set[str] = set()
         #: Signals whose ``.next`` the rewritten code writes (``"next"``).
         self.written: Set[Signal] = set()
-        #: A body name that the specialised copy binds itself.
-        self.clash: Optional[str] = None
 
     # -- helpers ---------------------------------------------------------------
 
@@ -436,8 +466,15 @@ class _Transpiler(ast.NodeTransformer):
 
     def visit_Name(self, node: ast.Name):
         if self.specialise:
-            if _SLOT_NAME.match(node.id) or node.id == self.analysis.tree.name:
-                self.clash = node.id
+            replacement = self.names.get(node.id)
+            if isinstance(replacement, ast.Name):
+                return ast.Name(id=replacement.id, ctx=node.ctx)
+            if isinstance(replacement, ast.Subscript):  # a module global
+                return ast.Subscript(
+                    value=ast.Name(id=replacement.value.id, ctx=ast.Load()),
+                    slice=ast.Constant(value=node.id), ctx=node.ctx)
+            if replacement is not None:  # a literal argument
+                return ast.Constant(value=replacement.value)
             return node
         noted = self.notes.get(id(node), _MISSING)
         if noted is not _MISSING:
@@ -474,9 +511,12 @@ class _Transpiler(ast.NodeTransformer):
         noted = self.notes.get(id(node), _MISSING)
         if isinstance(noted, Memory) and isinstance(node.ctx, ast.Load):
             index = self.visit(node.slice)
-            data = ast.Attribute(value=ast.Name(id=self._slot(noted),
-                                                ctx=ast.Load()),
-                                 attr="_data", ctx=ast.Load())
+            slot = ast.Name(id=self._slot(noted), ctx=ast.Load())
+            # A subclass's own ``__getitem__`` stays a call, as its
+            # ``__setitem__`` does; the memory's type is a guard fact.
+            if type(noted).__getitem__ is not Memory.__getitem__:
+                return ast.Subscript(value=slot, slice=index, ctx=node.ctx)
+            data = ast.Attribute(value=slot, attr="_data", ctx=ast.Load())
             if self.specialise:
                 index = _as_int(index)
             wrapped = self._binop(index, ast.Mod(),
@@ -505,8 +545,13 @@ class _Transpiler(ast.NodeTransformer):
 
     def visit_Expr(self, node: ast.Expr):
         step = self.notes.get(id(node.value))
-        if self.specialise and isinstance(step, FsmStep):
-            return self._fsm_step(step)
+        if self.specialise:
+            if isinstance(step, FsmStep):
+                return self._fsm_step(step)
+            if isinstance(step, Inline):
+                spliced = self.emitter.splice_call(step, node.value, self)
+                if spliced is not None:
+                    return spliced
         # Bare reads (sensitivity anchors) schedule dependencies but emit no
         # runtime work in a dissolved statement.
         transformed = self.visit(node.value)
@@ -602,8 +647,12 @@ def _is_const(obj) -> bool:
     return obj is None or isinstance(obj, (int, bool, str))
 
 
-#: The slot parameters of a specialised copy (a body must not use them).
+#: A signal, memory or FSM slot name.
 _SLOT_NAME = re.compile(r"_[smf]\d+\Z")
+
+#: Names a spliced body may use only renamed: the generated code's own
+#: names all start so.
+_GENERATED_NAME = re.compile(r"_[A-Za-z]")
 
 #: Operators whose result is an int whenever both operands are.
 _INT_OPS = (ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.Mod, ast.BitAnd,
@@ -681,31 +730,163 @@ class Emitter:
         self.comb_procs = list(comb_procs)
         self.seq_analyses = list(seq_analyses)
         self.max_settle = max_settle
+        self.recorder = recorder
         self.slots = _Slots()
+        # The constants of every process and of every helper the analyser
+        # entered (a spliced helper's constants land in the kernel too).
         self.holes = _Holes(recorder, (
             proc.__code__ for proc in [*self.comb_procs,
-                                       *(a.proc for a in self.seq_analyses)]
+                                       *(a.proc for a in self.seq_analyses),
+                                       *(obj for obj in recorder.objects
+                                         if type(obj) is types.FunctionType)]
             if isinstance(getattr(proc, "__code__", None), types.CodeType)),
             max_settle)
         self.lines: List[str] = []
-        #: ``(proc_index, analysis)`` of the call units met while emitting
-        #: settle, specialised afterwards.
-        self.call_units: List[Tuple[int, ProcAnalysis]] = []
-        #: One source block per specialised copy: its factory and binding.
-        self.factories: List[str] = []
+        #: Slots of the processes the kernel calls as written.
+        self.calls: Set[str] = set()
+        #: Tags of the spliced processes with free names, and those names
+        #: as the kernel's factory takes them.
+        self.owners: List[str] = []
+        self.free: List[str] = []
         self.n_specialised = 0
+        self.n_spliced_calls = 0
         #: ``"<qualname>: <reason>"`` of every process called as written.
         self.generic: List[str] = []
+        #: ``"<qualname>: <reason>"`` of every helper call left a call.
+        self.kept: List[str] = []
+
+    # -- splicing ---------------------------------------------------------------
+
+    def splice_body(self, analysis: ProcAnalysis, tag: str
+                    ) -> Optional[Tuple[List[ast.stmt], Set[Signal]]]:
+        """``analysis.proc``'s body specialised onto slots, to splice where
+        the kernel would call the process, and the signals it writes; its
+        locals and free names become ``_<tag>_<name>``, and a module global
+        ``g`` it reads ``_G<tag>['g']``, a live read of its own module.
+        None (and the reason recorded) when the process stays a call."""
+        proc = analysis.proc
+        reason = _opaque_reason(analysis)
+        if reason is None:
+            args = analysis.tree.args
+            if args.posonlyargs or args.args or args.vararg \
+                    or args.kwonlyargs or args.kwarg:
+                reason = "takes arguments"
+        if reason is None:
+            names = self._names(proc, analysis.tree, tag, True)
+            if isinstance(names, str):
+                reason = names
+        if reason is None:
+            transpiler = _Transpiler(analysis, self.slots, self.holes,
+                                     proc_tag=tag, write="next",
+                                     emitter=self, names=names)
+            body = [stmt for node in _statements(analysis.tree)
+                    for stmt in _flatten(transpiler.visit(node))]
+            if not transpiler.used:
+                reason = "nothing to rewrite"
+        if reason is not None:
+            self.generic.append(f"{_label(proc)}: {reason}")
+            return None
+        self.n_specialised += 1
+        free = [f"_{tag}_{name}" for name in proc.__code__.co_freevars]
+        if any(isinstance(name, ast.Subscript) for name in names.values()):
+            free.append(f"_G{tag}")
+        if free:
+            self.owners.append(tag)
+            self.free += free
+        return _lower_returns(body), transpiler.written
+
+    def splice_call(self, inline: Inline, call: ast.Call,
+                    caller: _Transpiler) -> Optional[List[ast.stmt]]:
+        """The body of the method a statement-position ``call`` of the
+        body ``caller`` rewrites enters, to splice in its place: each
+        argument bound to a renamed parameter (a literal one written in
+        where the body never rebinds it), locals renamed
+        ``_<caller tag>h<n>_<name>``.  None (and the reason recorded) when
+        the call stays a call."""
+        func, analysis = inline.func, inline.analysis
+        tag = f"{caller.proc_tag}h{caller.helpers}"
+        reason = _opaque_reason(analysis)
+        if reason is None:
+            arguments = _arguments(analysis.tree.args, call)
+            if isinstance(arguments, str):
+                reason = arguments
+            elif func.__code__.co_freevars:
+                reason = "closes over names"
+        if reason is None:
+            names = self._names(func, analysis.tree, tag, False)
+            if isinstance(names, str):
+                reason = names
+        if reason is not None:
+            self.kept.append(f"{_label(func)}: {reason}")
+            return None
+        caller.helpers += 1
+        rebound = _scopes(func.__code__).rebound
+        prologue: List[ast.stmt] = []
+        for param, value in arguments:
+            value = caller.visit(value)
+            if isinstance(value, ast.Constant) and param not in rebound:
+                names[param] = value
+            else:
+                prologue.append(ast.Assign(
+                    targets=[ast.Name(id=names[param].id, ctx=ast.Store())],
+                    value=value, lineno=0))
+        transpiler = _Transpiler(analysis, self.slots, self.holes,
+                                 proc_tag=tag, write="next", emitter=self,
+                                 names=names)
+        body = [stmt for node in _statements(analysis.tree)
+                for stmt in _flatten(transpiler.visit(node))]
+        caller.used |= transpiler.used
+        caller.written |= transpiler.written
+        self.n_spliced_calls += 1
+        return prologue + _lower_returns(body) or [ast.Pass()]
+
+    def _names(self, func: Callable, tree: ast.FunctionDef, tag: str,
+               own_globals: bool) -> Any:
+        """What each name of ``func``'s body becomes in the kernel, or (a
+        str) why the body cannot be spliced.  Its locals and free names are
+        renamed for ``tag``.  The kernel's globals are the generated
+        module's, so a global name stays bare only when it is a builtin its
+        own module does not shadow; a module global is read from
+        ``_G<tag>`` when ``own_globals`` (a process), else the body stays a
+        call.  Each global is read through the recorder, so the guard
+        replays the decision."""
+        if _returns(tree.body, False) is None:
+            return "returns from inside a loop"
+        code = func.__code__
+        scopes = _scopes(code)
+        names: Dict[str, ast.expr] = {
+            name: ast.Name(id=f"_{tag}_{name}", ctx=ast.Load())
+            for name in (*code.co_varnames, *code.co_cellvars,
+                         *code.co_freevars)}
+        for name in scopes.globals:
+            if self.recorder.read("env", func, name) is _UNBOUND:
+                if hasattr(builtins, name) and not _GENERATED_NAME.match(name):
+                    continue
+                return f"reads the unbound name {name!r}"
+            if not own_globals:
+                return f"reads the module global {name!r}"
+            if name in scopes.nested or name in names:
+                return f"binds the global name {name!r} in a nested scope"
+            names[name] = ast.Subscript(
+                value=ast.Name(id=f"_G{tag}", ctx=ast.Load()),
+                slice=ast.Constant(value=name), ctx=ast.Load())
+        for name in scopes.nested:
+            if name not in names and _GENERATED_NAME.match(name):
+                return f"uses the name {name!r}"
+        return names
 
     # -- unit emission ----------------------------------------------------------
 
     def emit_unit(self, unit: Unit, indent: str, guarded: bool) -> None:
         if unit.is_call:
-            if unit.proc_index not in self.slots.procs:
-                self.call_units.append((unit.proc_index, unit.analysis))
             proc_name = self.slots.proc(unit.proc_index,
                                         self.comb_procs[unit.proc_index])
-            self.lines.append(f"{indent}{proc_name}()")
+            spliced = self.splice_body(unit.analysis, proc_name[1:])
+            if spliced is None:
+                self.calls.add(proc_name)
+                self.lines.append(f"{indent}{proc_name}()")
+            else:
+                self.lines.extend(_unparse_block(spliced[0], indent))
             for sig in sorted(unit.writes, key=lambda s: s._uid):
                 slot = self.slots.signal(sig)
                 if guarded:
@@ -721,38 +902,6 @@ class Emitter:
                                  write="guarded" if guarded else "fused")
         transformed = _flatten(transpiler.visit(unit.stmt.node))
         self.lines.extend(_unparse_block(transformed, indent))
-
-    def specialise(self, analysis: ProcAnalysis, name: str,
-                   table: str) -> Optional[Set[Signal]]:
-        """Emit a factory for a specialised copy of ``analysis.proc`` that
-        replaces ``table[N]`` (``name`` is ``_pN``/``_qN``).  Returns the
-        signals the copy writes, or None (and records why) when the process
-        stays generic."""
-        reason = _generic_reason(analysis)
-        if reason is None:
-            transpiler = _Transpiler(analysis, self.slots, self.holes,
-                                     proc_tag=name, write="next")
-            body = [stmt for node in analysis.tree.body
-                    for stmt in _flatten(transpiler.visit(node))]
-            if transpiler.clash is not None:
-                reason = f"uses the name {transpiler.clash!r}"
-            elif not transpiler.used:
-                reason = "nothing to rewrite"
-        if reason is not None:
-            self.generic.append(f"{_label(analysis.proc)}: {reason}")
-            return None
-        self.n_specialised += 1
-        func = analysis.tree.name
-        freevars = ", ".join(analysis.proc.__code__.co_freevars)
-        slot_ref = f"{table}[{name[2:]}]"
-        self.factories.append("\n".join([
-            f"def _mk{name}({freevars}):",
-            f"    def {func}({_params(sorted(transpiler.used, key=_slot_key))}):",
-            *_unparse_block(body, "        "),
-            f"    return {func}",
-            f"{slot_ref} = _bind(_mk{name}, {slot_ref})",
-        ]))
-        return transpiler.written
 
     def emit_groups(self, indent: str, guarded: bool) -> None:
         for group in self.schedule.groups:
@@ -773,6 +922,7 @@ class Emitter:
         for analysis in self.schedule.opaque:
             index = self.comb_procs.index(analysis.proc)
             proc_name = self.slots.proc(index, analysis.proc)
+            self.calls.add(proc_name)
             self.lines.append(f"{indent}{proc_name}()")
         self.lines.append(f"{indent}_w = sim._written")
         self.lines.append(f"{indent}for _sig in _w:")
@@ -783,86 +933,104 @@ class Emitter:
 
     # -- function emission -------------------------------------------------------
 
-    def emit_settle_body(self) -> None:
+    def emit_settle_body(self, indent: str) -> None:
+        """The settle: commit stray writes, run the schedule, set
+        ``_settled`` to the rounds it took."""
         lines = self.lines
-        lines.append("    if not sim._attached:")
-        lines.append("        sim._check_attached()")
-        lines.append("    _w = sim._written")
-        lines.append("    if _w:")
-        lines.append("        for _sig in _w:")
-        lines.append("            _sig._value = _sig._next")
-        lines.append("        del _w[:]")
+        lines.append(f"{indent}if not sim._attached:")
+        lines.append(f"{indent}    sim._check_attached()")
+        lines.append(f"{indent}_w = sim._written")
+        lines.append(f"{indent}if _w:")
+        lines.append(f"{indent}    for _sig in _w:")
+        lines.append(f"{indent}        _sig._value = _sig._next")
+        lines.append(f"{indent}    del _w[:]")
         if self.schedule.guarded:
-            lines.append(f"    for _round in range({self.max_settle}):")
-            lines.append("        _chg = False")
-            self.emit_groups("        ", guarded=True)
-            self.emit_opaque("        ")
-            lines.append("        if not _chg:")
-            lines.append("            break")
-            lines.append("    else:")
-            lines.append("        sim._raise_comb_loop()")
-            lines.append("    _rounds = _round + 1")
+            lines.append(f"{indent}for _round in range({self.max_settle}):")
+            lines.append(f"{indent}    _chg = False")
+            self.emit_groups(indent + "    ", guarded=True)
+            self.emit_opaque(indent + "    ")
+            lines.append(f"{indent}    if not _chg:")
+            lines.append(f"{indent}        break")
+            lines.append(f"{indent}else:")
+            lines.append(f"{indent}    sim._raise_comb_loop()")
+            lines.append(f"{indent}_settled = _round + 1")
         else:
-            self.emit_groups("    ", guarded=False)
-            lines.append("    _rounds = 1")
-        lines.append("    if sim._written:")
-        lines.append("        sim._drain_check()")
-        lines.append("    if sim._verify:")
-        lines.append("        sim._verify_settled()")
-        lines.append("    sim._dirty = False")
-        lines.append("    return _rounds")
+            self.emit_groups(indent, guarded=False)
+            lines.append(f"{indent}_settled = 1")
+        lines.append(f"{indent}if sim._written:")
+        lines.append(f"{indent}    sim._drain_check()")
+        lines.append(f"{indent}if sim._verify:")
+        lines.append(f"{indent}    sim._verify_settled()")
+        lines.append(f"{indent}sim._dirty = False")
 
-    def emit_module(self) -> List[str]:
-        """The generated module as top-level blocks, in execution order."""
-        self.lines = []
-        self.emit_settle_body()
-        settle_body = self.lines
-        # Settle binds every slot allocated so far: the specialised bodies
-        # below only add slots of their own.
-        settle_params = _params(["sim", *self.slots.signals.values(),
-                                 *self.slots.memories.values(),
-                                 *self.slots.procs.values()])
-        for index, analysis in self.call_units:
-            self.specialise(analysis, self.slots.procs[index], "_PROCS")
+    def emit_edge(self, indent: str) -> List[str]:
+        """The clock edge: every sequential process, spliced or called,
+        then one commit line per signal the spliced bodies write."""
+        lines: List[str] = []
         commits: Set[Signal] = set()
         for index, analysis in enumerate(self.seq_analyses):
-            commits |= self.specialise(analysis, f"_q{index}", "_SEQS") or set()
-        commit_slots = sorted((self.slots.signal(sig) for sig in commits),
-                              key=_slot_key)
-        seq_names = [f"_q{i}" for i in range(len(self.seq_analyses))]
-        cycle_params = _params(["sim", *seq_names, *commit_slots])
+            spliced = self.splice_body(analysis, f"q{index}")
+            if spliced is None:
+                self.calls.add(f"_q{index}")
+                lines.append(f"{indent}_q{index}()")
+            else:
+                lines += _unparse_block(spliced[0], indent)
+                commits |= spliced[1]
+        # Writes the spliced bodies own never reach ``_written``.
+        lines += (f"{indent}{slot}._value = {slot}._next" for slot in
+                  sorted((self.slots.signal(sig) for sig in commits),
+                         key=_slot_key))
+        return lines
 
-        cycle = [
-            f"def cycle({cycle_params}, _settle=settle):",
+    def emit_module(self) -> str:
+        """The generated module's source.
+
+        The kernel is one function: ``cycle(sim)`` runs a clock edge, with
+        every spliced sequential body inline, then the settle inline;
+        ``settle(sim)`` is the same code with ``_edge`` false, which
+        ``cycle`` calls for a leading settle.  Both come from ``_bind``."""
+        self.lines = []
+        self.emit_settle_body("        ")
+        settle_body = self.lines
+        edge = self.emit_edge("            ")
+        slots = sorted([*self.slots.signals.values(),
+                        *self.slots.memories.values(),
+                        *self.slots.fsms.values(), *self.calls],
+                       key=_slot_key)
+        params = ", ".join(["sim", "_edge=True", "_settle=None",
+                            *_params(slots)])
+        owners = "".join(f", {tag}={_TABLES[tag[0]]}[{tag[1:]}]"
+                         for tag in self.owners)
+        return "\n".join([
+            '"""Generated by repro.rtl.compile — do not edit."""',
+            "",
+            f"def _mk_kernel({', '.join(self.free)}):",
+            f"    def cycle({params}):",
+            "        if _edge:",
             # The attached check must run before the sequential processes:
             # a detached simulator skipping its leading settle would
             # otherwise fire a phantom clock edge into state now owned by
             # the replacement simulator.
-            "    if not sim._attached:",
-            "        sim._check_attached()",
-            "    _rounds = 0",
-            "    if sim._dirty or sim._written:",
-            "        _rounds = _settle(sim)",
-            *(f"    {name}()" for name in seq_names),
-            # Writes the specialised bodies own never reach ``_written``.
-            *(f"    {slot}._value = {slot}._next" for slot in commit_slots),
-            "    _w = sim._written",
-            "    for _sig in _w:",
-            "        _sig._value = _sig._next",
-            "    del _w[:]",
-            "    _rounds += _settle(sim)",
-            "    sim._cycles += 1",
-            "    for _watch in sim._watchers:",
-            "        _watch(sim._cycles)",
-            "    return _rounds",
-        ]
-        return ['"""Generated by repro.rtl.compile — do not edit."""',
-                *self.factories,
-                "\n".join([f"def settle({settle_params}):", *settle_body]),
-                "\n".join(cycle)]
+            "            if not sim._attached:",
+            "                sim._check_attached()",
+            "            _rounds = 0",
+            "            if sim._dirty or sim._written:",
+            "                _rounds = _settle(sim)",
+            *edge,
+            *settle_body,
+            "        if not _edge:",
+            "            return _settled",
+            "        sim._cycles += 1",
+            "        for _watch in sim._watchers:",
+            "            _watch(sim._cycles)",
+            "        return _rounds + _settled",
+            "    return cycle",
+            f"settle, cycle = _bind(_mk_kernel{owners})",
+            "",
+        ])
 
     def build(self) -> EmittedModule:
-        blocks = self.emit_module()
+        source = self.emit_module()
         report = self._report()
         tables: Dict[str, List[object]] = {
             "_SIGS": list(self.slots.signals),
@@ -871,25 +1039,18 @@ class Emitter:
             "_PROCS": [self.comb_procs[index] for index in self.slots.procs],
             "_SEQS": [analysis.proc for analysis in self.seq_analyses],
         }
-        # Free the analyses' syntax trees before the compiler needs memory.
-        self.schedule = self.seq_analyses = self.call_units = None
-        # One block per compile(), padded so line numbers match the source:
-        # CPython's compiler holds ~100 bytes per source byte while it
-        # runs, so compiling the whole module at once would raise the
-        # process's memory high-water mark with it.
-        codes = []
-        line = 0
-        for block in blocks:
-            codes.append(compile("\n" * line + block, "<repro.rtl.compile>",
-                                 "exec"))
-            line += block.count("\n") + 2
+        # Free the analyses' syntax trees before the compiler needs memory:
+        # it holds ~100 bytes per source byte while it runs, and the kernel
+        # is one function, so one compile().
+        self.schedule = self.seq_analyses = None
+        code = compile(source, "<repro.rtl.compile>", "exec")
         holes = self.holes
-        text, spans, used = _render("\n\n".join(blocks) + "\n", holes)
+        text, spans, used = _render(source, holes)
         # Placeholders the emitter built and then dropped are not values of
         # this module; each one left in the text must survive compile().
         index = {holes.base + number: at for at, number in enumerate(used)}
         met: Set[int] = set()
-        fills = tuple(_fill(code, holes.base, index, met) for code in codes)
+        fill = _fill(code, holes.base, index, met)
         if met != index.keys():
             lost = [holes.refs[placeholder - holes.base]
                     for placeholder in index.keys() - met]
@@ -899,7 +1060,7 @@ class Emitter:
                            "must write these values in")
         return EmittedModule(
             template=Template(
-                codes=tuple(codes), fills=fills, text=text, spans=spans,
+                code=code, fill=fill, text=text, spans=spans,
                 values=tuple(holes.values[number] for number in used)),
             refs=tuple(holes.refs[number] for number in used),
             pinned=holes.pinned, report=report, tables=tables)
@@ -927,6 +1088,8 @@ class Emitter:
             n_specialised_procs=self.n_specialised,
             n_generic_procs=len(generic),
             generic_reasons=generic,
+            n_spliced_calls=self.n_spliced_calls,
+            kept_calls=list(self.kept),
         )
 
 
@@ -941,30 +1104,151 @@ def _slot_key(name: str):
     return name[1], int(name[2:])
 
 
-def _params(names: Sequence[str]) -> str:
-    """A parameter list binding each slot name to its object as a default:
-    one ``LOAD_FAST`` per use."""
-    return ", ".join(name if name == "sim" else
-                     f"{name}={_TABLES[name[1]]}[{name[2:]}]"
-                     f"{_BINDS.get(name[1], '')}"
-                     for name in names)
+def _params(names: Sequence[str]) -> List[str]:
+    """Parameters binding each slot name to its object as a default: one
+    ``LOAD_FAST`` per use."""
+    return [f"{name}={_TABLES[name[1]]}[{name[2:]}]{_BINDS.get(name[1], '')}"
+            for name in names]
 
 
 def _label(proc: Callable) -> str:
     return getattr(proc, "__qualname__", None) or repr(proc)
 
 
-def _generic_reason(analysis: ProcAnalysis) -> Optional[str]:
-    """Why ``analysis.proc`` cannot be specialised (None when it can)."""
-    tree = analysis.tree
-    if tree is None or analysis.opaque:
+def _opaque_reason(analysis: ProcAnalysis) -> Optional[str]:
+    """Why the body ``analysis`` walked has no usable notes (None when it
+    has)."""
+    if analysis.tree is None or analysis.opaque:
         return analysis.opaque_reasons[0] if analysis.opaque_reasons \
             else "opaque"
-    args = tree.args
-    if args.posonlyargs or args.args or args.vararg or args.kwonlyargs \
-            or args.kwarg:
-        return "takes arguments"
     return None
+
+
+def _statements(tree: ast.FunctionDef) -> List[ast.stmt]:
+    """A function's statements, without its docstring."""
+    body = tree.body
+    if body and isinstance(body[0], ast.Expr) \
+            and isinstance(body[0].value, ast.Constant) \
+            and isinstance(body[0].value.value, str):
+        return body[1:]
+    return body
+
+
+def _arguments(params: ast.arguments, call: ast.Call) -> Any:
+    """``(parameter, argument)`` for every parameter of a method, in the
+    order ``call`` (``recv.name(...)``) evaluates the arguments, the
+    receiver first; or why the call stays a call."""
+    if params.vararg or params.kwarg:
+        return "takes *args or **kwargs"
+    if any(isinstance(arg, ast.Starred) for arg in call.args) \
+            or any(keyword.arg is None for keyword in call.keywords):
+        return "passes *args or **kwargs"
+    positional = [arg.arg for arg in (*params.posonlyargs, *params.args)]
+    by_keyword = {arg.arg for arg in (*params.args, *params.kwonlyargs)}
+    values = [call.func.value, *call.args]
+    if len(values) > len(positional):
+        return "passes more arguments than it takes"
+    bound = list(zip(positional, values))
+    for keyword in call.keywords:
+        if keyword.arg not in by_keyword \
+                or keyword.arg in positional[:len(values)]:
+            return "passes an argument it does not take"
+        bound.append((keyword.arg, keyword.value))
+    if len(bound) < len(positional) + len(params.kwonlyargs):
+        return "relies on a default argument"
+    return bound
+
+
+def _returns(stmts: Sequence[ast.stmt], in_loop: bool) -> Optional[bool]:
+    """Whether ``stmts`` hold a ``return``; None when one sits inside a
+    loop.  Only ``if`` and loops nest statements in a body the analyser
+    leaves transparent."""
+    found = False
+    for stmt in stmts:
+        if isinstance(stmt, ast.Return):
+            if in_loop:
+                return None
+            found = True
+        elif isinstance(stmt, (ast.If, ast.For, ast.While)):
+            inner = in_loop or not isinstance(stmt, ast.If)
+            for block in (stmt.body, stmt.orelse):
+                nested = _returns(block, inner)
+                if nested is None:
+                    return None
+                found = found or nested
+    return found
+
+
+def _breaks(stmts: List[ast.stmt]) -> List[ast.stmt]:
+    """``stmts``, whose returns sit in no loop, with each ``return`` a
+    ``break``, after its value when that is more than a constant."""
+    out: List[ast.stmt] = []
+    for stmt in stmts:
+        if isinstance(stmt, ast.Return):
+            if stmt.value is not None \
+                    and not isinstance(stmt.value, ast.Constant):
+                out.append(ast.Expr(value=stmt.value))
+            out.append(ast.Break())
+            continue
+        if isinstance(stmt, ast.If):
+            stmt.body, stmt.orelse = _breaks(stmt.body), _breaks(stmt.orelse)
+        out.append(stmt)
+    return out
+
+
+def _lower_returns(body: List[ast.stmt]) -> List[ast.stmt]:
+    """``body``, whose returns sit in no loop, with every ``return`` turned
+    into structured control flow: a ``return`` ending the body goes, and a
+    body that still returns early runs once inside ``while True:``, each
+    ``return`` leaving it by ``break``."""
+    if body and isinstance(body[-1], ast.Return):
+        last = body.pop()
+        if last.value is not None and not isinstance(last.value,
+                                                     ast.Constant):
+            body.append(ast.Expr(value=last.value))
+    if not _returns(body, False):
+        return body
+    return [ast.While(test=ast.Constant(value=True),
+                      body=[*_breaks(body), ast.Break()], orelse=[])]
+
+
+@dataclass(frozen=True)
+class _Scope:
+    """The names a function's code reads as globals, binds in nested
+    scopes (comprehensions), and stores into or deletes among its own."""
+
+    globals: Tuple[str, ...]
+    nested: FrozenSet[str]
+    rebound: FrozenSet[str]
+
+
+#: ``code`` -> its :class:`_Scope`.
+_SCOPES: Dict[types.CodeType, _Scope] = {}
+
+_STORES = frozenset({"STORE_FAST", "DELETE_FAST", "STORE_DEREF",
+                     "DELETE_DEREF"})
+
+
+def _scopes(code: types.CodeType) -> _Scope:
+    scope = _SCOPES.get(code)
+    if scope is None:
+        found: Dict[str, None] = {}
+        nested: Set[str] = set()
+        rebound: Set[str] = set()
+        for instruction in dis.get_instructions(code):
+            if instruction.opname == "LOAD_GLOBAL":
+                found[instruction.argval] = None
+            elif instruction.opname in _STORES:
+                rebound.add(instruction.argval)
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                inner = _scopes(const)
+                found.update(dict.fromkeys(inner.globals))
+                nested |= inner.nested | {*const.co_varnames,
+                                          *const.co_cellvars}
+        scope = _SCOPES[code] = _Scope(tuple(found), frozenset(nested),
+                                       frozenset(rebound))
+    return scope
 
 
 def _render(source: str, holes: _Holes
@@ -999,14 +1283,30 @@ def _render(source: str, holes: _Holes
     return "".join(out), tuple(spans), list(at)
 
 
-def _bind(factory: Callable, proc: Callable) -> Callable:
-    """The function ``factory`` defines, re-made over ``proc``'s own globals
-    and closure cells, so every name the specialisation left alone resolves
-    exactly as it does in ``proc``."""
+def _bind(factory: Callable, **owners: Callable
+          ) -> Tuple[Callable, Callable]:
+    """The kernel ``factory`` defines, bound to one design's processes:
+    each free name ``_<tag>_<name>`` reads the closure cell ``name`` of
+    ``owners[tag]``, and ``_G<tag>`` holds the globals dict of
+    ``owners[tag]``, so a spliced body reads its own process's cells and
+    module, live.  Returns ``(settle, cycle)``: two
+    functions over the kernel's one code object, ``settle`` with ``_edge``
+    false and ``cycle`` calling it for a leading settle."""
     shape = factory(*[None] * factory.__code__.co_argcount)
     code = shape.__code__
-    cells = dict(zip(proc.__code__.co_freevars, proc.__closure__ or ()))
-    closure = tuple(cells[name] for name in code.co_freevars)
-    return types.FunctionType(code, proc.__globals__, code.co_name,
-                              shape.__defaults__, closure or None)
+
+    def cell(free: str) -> types.CellType:
+        if free.startswith("_G"):  # ``_G<tag>``: the owner's module globals
+            return types.CellType(owners[free[2:]].__globals__)
+        tag, name = free[1:].split("_", 1)
+        owner = owners[tag]
+        return owner.__closure__[owner.__code__.co_freevars.index(name)]
+
+    closure = tuple(map(cell, code.co_freevars))
+    _, _, *slots = shape.__defaults__
+    settle = types.FunctionType(code, factory.__globals__, "settle",
+                                (False, None, *slots), closure or None)
+    cycle = types.FunctionType(code, factory.__globals__, "cycle",
+                               (True, settle, *slots), closure or None)
+    return settle, cycle
 

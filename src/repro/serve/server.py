@@ -357,7 +357,12 @@ class SweepServer:
         self._httpd.serve_forever()
 
     def close(self) -> None:
-        self._httpd.shutdown()
+        # ``shutdown()`` waits for a serve loop on another thread to stop.
+        # Only ``start()`` runs one: a blocking ``serve_forever()`` has
+        # returned by the time its caller closes, and one that never ran
+        # (a SIGTERM just before it) would make ``shutdown()`` wait forever.
+        if self._thread is not None:
+            self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

@@ -436,9 +436,10 @@ def test_source_cache_makes_recompiles_cheap():
     assert not first._program.cached
     assert second._program.cached
     assert second.compiled_source is first.compiled_source
-    # The sequential body is emitted specialised onto slots.
-    assert "def _mk_q0(self):" in first.compiled_source
-    assert "    def advance(" in first.compiled_source
+    # The sequential body is spliced into the kernel, specialised onto
+    # slots: its free ``self`` is bound to the process's own cell.
+    assert "def _mk_kernel(_q0_self):" in first.compiled_source
+    assert "_q0()" not in first.compiled_source
 
 
 # -- specialised process bodies ------------------------------------------------------
@@ -632,7 +633,9 @@ class _LambdaSeq(Component):
 def test_specialised_body_keeps_early_return():
     sim = _compiled_matches_oracle(_EarlyReturn, cycles=16)
     source = sim.compiled_source
-    assert "def advance(" in source and "        return\n" in source
+    # The early return leaves a one-pass loop around the spliced body.
+    assert "            while True:\n" in source
+    assert "                    break\n" in source
     assert "._next = " in source
     report = sim.compile_report
     assert (report.n_specialised_procs, report.n_generic_procs) == (1, 0)
@@ -641,8 +644,9 @@ def test_specialised_body_keeps_early_return():
 def test_specialised_write_coerces_bool_and_bits_then_masks():
     sim = _compiled_matches_oracle(_Coerced, cycles=40)
     source = sim.compiled_source
-    assert "._next = int(done) & 1" in source
-    assert "._next = int(Bits(8, " in source and ") + 9) & 15" in source
+    assert "._next = int(_q0_done) & 1" in source
+    # ``Bits`` is a global of this module, read live from it.
+    assert "._next = int(_Gq0['Bits'](8, " in source and ") + 9) & 15" in source
     # Statically an int: no int() around a compare of slots and literals.
     assert "._next = (_s" in source and " == 1) & 1" in source
     assert sim.compile_report.n_specialised_procs == 1
@@ -650,12 +654,15 @@ def test_specialised_write_coerces_bool_and_bits_then_masks():
 
 def test_branch_bound_local_stays_a_property_access():
     sim = _compiled_matches_oracle(_BranchAlias, cycles=8)
-    assert "target.next = target.value + 1" in sim.compiled_source
+    assert "_q0_target.next = _q0_target.value + 1" in sim.compiled_source
 
 
 def test_helper_write_still_commits():
     sim = _compiled_matches_oracle(_HelperWrite, cycles=8)
-    assert "self._mirror()" in sim.compiled_source
+    # The helper's body is spliced in place of the call; its write is
+    # committed with the process's own.
+    assert "_mirror()" not in sim.compiled_source
+    assert sim.compile_report.n_spliced_calls == 1
     top = sim.top
     assert top.echo.value == 2 * (top.count.value - 1)
 
@@ -666,7 +673,7 @@ def test_call_unit_specialised_inside_guarded_design():
     assert report.guarded
     assert (report.n_call_procs, report.n_opaque_procs) == (1, 1)
     assert report.n_specialised_procs == 2  # scale and advance
-    assert "._next = int(self._tripled(" in sim.compiled_source
+    assert "._next = int(_p0_self._tripled(" in sim.compiled_source
 
 
 def test_next_read_in_sequential_body():
@@ -691,7 +698,7 @@ def test_python_state_in_a_specialised_body_is_read_live():
 
 def test_loop_rebound_local_keeps_its_python_subscript():
     sim = _compiled_matches_oracle(_LoopRebound, cycles=3)
-    assert "acc += table[i]" in sim.compiled_source
+    assert "_q0_acc += _q0_table[_q0_i]" in sim.compiled_source
     assert sim.top.total.value == 3 * 61
 
 

@@ -111,7 +111,8 @@ def test_last_goto_wins_and_every_goto_is_recorded_in_order():
         ("A", "B"), ("A", "C"), ("C", "D"), ("D", "A")]
     assert top.fsm.current == "C"
     source = sim.compiled_source
-    assert "_f0[_s" in source and "self._leave_c()" in source
+    # ``_leave_c`` is spliced in place of its call, its goto inlined too.
+    assert "_f0[_s" in source and "_leave_c()" not in source
     assert "fsm.goto(" not in source and "fsm.stay()" not in source
     assert sim.compile_report.n_generic_procs == 0
 
@@ -158,7 +159,7 @@ class _Gated(Component):
 def test_overridden_is_in_is_called_not_rewritten():
     top, sim = _matches_oracle(_Gated, cycles=5)
     assert top.out.value == 0
-    assert "1 if fsm.is_in('A') else 0" in sim.compiled_source
+    assert "1 if _p0_fsm.is_in('A') else 0" in sim.compiled_source
     assert sim.compile_report.n_call_procs == 1
 
 
@@ -230,8 +231,12 @@ def test_a_state_name_that_is_not_a_literal_stays_a_helper_call():
     assert top.fsm.observed_transitions() == [
         ("A", "W"), ("W", "B"), ("B", "C"), ("C", "A")]
     source = sim.compiled_source
-    assert "fsm.goto(self.after)" in source and "fsm.goto(then)" in source
-    assert "fsm.is_in(self.after)" in source
+    # Each such goto is ``FSM.goto``'s own body spliced in its place,
+    # encoding the name it is passed at run time.
+    assert "_q0h0_state_name = _q0_self.after" in source
+    assert "_q0h1_state_name = _q0_then" in source
+    assert source.count(".encode(_q0h") == 2
+    assert "_q0_fsm.is_in(_q0_self.after)" in source
     assert sim.compile_report.n_specialised_procs == 1
 
 
@@ -264,8 +269,8 @@ def test_goto_from_a_forced_unnamed_code_fails_when_decoded(strategy):
 
 def test_dissolved_stream_designs_call_neither_goto_nor_setitem(monkeypatch):
     """saa2vga/sram runs no ``FSM.goto``; fifo, blur and dual-path run no
-    ``Memory.__setitem__`` (sram's stores are in its ``_complete_access``
-    helper, which stays a call)."""
+    ``Memory.__setitem__`` (nor does sram, whose stores are in its
+    ``_complete_access`` helper, spliced in place of its calls)."""
     designs = {
         "sram": (lambda: build_saa2vga_pattern("sram", capacity=8), FSM,
                  "goto", len(PIXELS)),
@@ -319,7 +324,7 @@ def test_inline_store_wraps_the_index_and_masks_the_value():
     source = sim.compiled_source
     assert "_m0._data[(_s" in source and " + 5) % 4] = _s" in source
     assert " * 7 & 15" in source
-    assert "_m0._data[int(self.addr) % 4] = _s" in source
+    assert "_m0._data[int(_q0_self.addr) % 4] = _s" in source
 
 
 class _LoggingMemory(Memory):
@@ -352,6 +357,50 @@ def test_overridden_setitem_is_called_not_rewritten():
     assert top.mem.log == [(n, n + 1) for n in range(6)]
     assert "self.mem[_s" in sim.compiled_source
     assert "._data[" not in sim.compiled_source
+
+
+class _MirroredMemory(Memory):
+    """A memory subclass whose ``__getitem__`` reads address
+    ``depth - 1 - i``."""
+
+    def __getitem__(self, addr):
+        return super().__getitem__(self.depth - 1 - int(addr))
+
+
+class _Mirrored(Component):
+    """A combinational and a sequential read of a mirrored memory."""
+
+    def __init__(self):
+        super().__init__("mirrored")
+        self.addr = self.state(2)
+        self.mem = _MirroredMemory(4, 8, name="mirrored_mem",
+                                   init=[10, 20, 30, 40])
+        self._memories.append(self.mem)
+        self.comb_word = self.signal(8)
+        self.seq_word = self.state(8)
+
+        @self.comb
+        def read():
+            self.comb_word.next = self.mem[self.addr.value]
+
+        @self.seq
+        def advance():
+            self.seq_word.next = self.mem[self.addr.value]
+            self.addr.next = self.addr.value + 1
+
+
+def test_overridden_getitem_is_called_not_rewritten():
+    top = _Mirrored()
+    sim = Simulator(top)
+    words = []
+    for _ in range(4):
+        words.append(top.comb_word.value)
+        sim.step()
+    assert words == [40, 30, 20, 10]
+    assert top.seq_word.value == 10
+    top, sim = _matches_oracle(_Mirrored, cycles=9)
+    source = sim.compiled_source
+    assert source.count("_m0[") == 2 and "._data[" not in source
 
 
 # -- exact ints everywhere ------------------------------------------------------------

@@ -78,6 +78,19 @@ def test_sigterm_stops_every_worker(tmp_path):
                 os.kill(pid, signal.SIGKILL)
 
 
+def test_a_server_closed_before_it_serves_stops_at_once(tmp_path):
+    """A SIGTERM can land between the start-up line and ``serve_forever()``:
+    closing a server whose serve loop never ran must not wait for it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = ("import sys\n"
+            "from repro.serve.server import SweepServer\n"
+            "SweepServer(sys.argv[1], workers=1).close()\n")
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "store")],
+                   env=env, timeout=30, check=True)
+
+
 def test_zero_workers_is_rejected_at_start_up(tmp_path, capsys):
     """``workers=0`` is the in-process executor; the service must never
     simulate on its HTTP threads, so ``--workers 0`` is a usage error."""
